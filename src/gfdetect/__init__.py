@@ -13,11 +13,9 @@ runs Monte Carlo sweeps behind the ``gfdetect`` CLI.
 
 from .baselines import MmvProblem, bomp, mfocuss, msbl
 from .detect import (
-    CovarianceSketch,
     DetectionResult,
     LassoOptions,
     build_smv,
-    covariance_sketch,
     detect_activity,
     extract_support,
     kkt_residual,

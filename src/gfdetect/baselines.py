@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import LassoOptions, extract_support
 from .errors import InvalidParameterError
 from .model import Support
 from .pilots import PilotDictionary
@@ -62,17 +63,6 @@ class MmvProblem:
         return self.Y.shape[1]
 
 
-def _support_from_scores(scores: np.ndarray, K: int, D_known, prune_tolerance: float) -> Support:
-    scores = np.asarray(scores, dtype=float)
-    if D_known is not None:
-        order = np.argsort(-scores, kind="stable")[: int(D_known)]
-        idx = sorted(int(i) for i in order if scores[i] > 0)
-    else:
-        peak = float(scores.max()) if scores.size else 0.0
-        idx = [] if peak <= 0 else [int(i) for i in np.flatnonzero(scores > prune_tolerance * peak)]
-    return Support(tuple(idx), K)
-
-
 def msbl(
     problem: MmvProblem,
     max_iters: int = 500,
@@ -88,7 +78,9 @@ def msbl(
     held fixed at the problem's true value. Iteration stops when the
     relative hyperparameter change falls below ``gamma_tol``. The support is
     the ``D_known`` largest hyperparameters, or all above
-    ``prune_tolerance * max(gamma)``.
+    ``prune_tolerance * max(gamma)`` (the rule of
+    :func:`~gfdetect.detect.extract_support`; ``prune_tolerance`` lies in
+    ``(0, 1)``).
     """
     S = problem.pilots.entries
     Y = problem.Y
@@ -114,7 +106,7 @@ def msbl(
         gamma = gamma_new
         if peak == 0.0 or change <= gamma_tol * max(peak, 1e-30):
             break
-    return _support_from_scores(gamma, K, D_known, prune_tolerance)
+    return extract_support(gamma, LassoOptions(threshold_ratio=prune_tolerance, known_sparsity=D_known))
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:
@@ -161,13 +153,14 @@ def mfocuss(
     scales the noise variance by the square root of the snapshot count,
     matching how the row energies grow with snapshots. A singular inner
     system triggers an internal regularization bump with a warning. The
-    support comes from the final row norms.
+    support comes from the final row norms by the rule of
+    :func:`~gfdetect.detect.extract_support`.
     """
     if not 0.0 < p <= 1.0:
         raise InvalidParameterError(f"p must lie in (0, 1], got {p}")
     S = problem.pilots.entries
     Y = problem.Y
-    L, K = S.shape
+    L = S.shape[0]
     if lam is None:
         lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))
     if lam < 0:
@@ -190,7 +183,7 @@ def mfocuss(
         if change <= tol * max(np.linalg.norm(X), 1e-30):
             break
     final_norms = np.linalg.norm(X, axis=1)
-    return _support_from_scores(final_norms, K, D_known, prune_tolerance)
+    return extract_support(final_norms, LassoOptions(threshold_ratio=prune_tolerance, known_sparsity=D_known))
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:

@@ -15,25 +15,15 @@ import sys
 
 from .errors import ConfigError
 from .harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     PRESETS,
+    SWEEP_AXES,
     apply_settings,
     emit_csv,
     parse_config_file,
     run_sweep,
 )
-
-_PASSTHROUGH_FLAGS = [
-    ("--K", "K"), ("--L", "L"), ("--M", "M"), ("--D", "D"),
-    ("--snr", "snr"), ("--activity-prob", "activity_prob"),
-    ("--trials", "trials"), ("--seed", "seed"), ("--workers", "workers"),
-    ("--N", "N"), ("--paths", "paths"), ("--max-iters", "max_iters"),
-    ("--spread", "spread"), ("--lam", "lam"), ("--tau", "tau"), ("--tol", "tol"),
-    ("--detector", "detector"), ("--modulation", "modulation"), ("--channel", "channel"),
-    ("--known-sparsity", "known_sparsity"), ("--redraw-pilots", "redraw_pilots"),
-    ("--bound", "bound"), ("--sweep", "sweep"),
-]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gfdetect", description=__doc__.splitlines()[0])
@@ -41,12 +31,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep and emit CSV")
     sweep.add_argument("--preset", choices=sorted(PRESETS), help="named experiment setup")
     sweep.add_argument("--config", help="path to a flat key=value configuration file")
-    sweep.add_argument("--axis", choices=("sparsity", "snr", "antennas"), help="sweep axis")
+    sweep.add_argument("--axis", choices=SWEEP_AXES[1:], help="sweep axis")
     sweep.add_argument("--values", help="comma-separated axis values")
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
     group = sweep.add_argument_group("configuration keys (override preset and config file)")
-    for flag, key in _PASSTHROUGH_FLAGS:
-        group.add_argument(flag, dest=f"opt_{key}", metavar="VALUE", help=f"set {key}")
+    for key in CONFIG_KEYS:
+        group.add_argument("--" + key.replace("_", "-"), dest=f"opt_{key}", metavar="VALUE", help=f"set {key}")
     return parser
 
 
@@ -57,7 +47,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         config = apply_settings(config, parse_config_file(args.config))
     overrides: dict[str, str] = {}
-    for _, key in _PASSTHROUGH_FLAGS:
+    for key in CONFIG_KEYS:
         value = getattr(args, f"opt_{key}")
         if value is not None:
             overrides[key] = value

@@ -21,11 +21,9 @@ from .pilots import khatri_rao_dictionary
 
 __all__ = [
     "LassoOptions",
-    "CovarianceSketch",
     "DetectionResult",
     "sample_covariance",
     "build_smv",
-    "covariance_sketch",
     "default_penalty",
     "nn_lasso",
     "kkt_residual",
@@ -60,19 +58,6 @@ class LassoOptions:
             raise InvalidParameterError("objective_tolerance must be >= 0")
         if self.known_sparsity is not None and self.known_sparsity < 0:
             raise InvalidParameterError("known_sparsity must be >= 0")
-
-
-@dataclass(frozen=True)
-class CovarianceSketch:
-    """Sample covariance of the pilot observation and its vectorized form.
-
-    ``x`` is the column-major vectorization with the known noise mean
-    already removed; ``M_used`` is the number of antennas averaged.
-    """
-
-    phi_yy: np.ndarray
-    x: np.ndarray
-    M_used: int
 
 
 @dataclass(frozen=True)
@@ -123,14 +108,6 @@ def build_smv(phi_yy: np.ndarray, pilots, sigma_w2: float) -> tuple[np.ndarray, 
     A = khatri_rao_dictionary(S)
     x = phi.ravel(order="F") - sigma_w2 * np.eye(L).ravel()
     return A, x
-
-
-def covariance_sketch(Y_p: np.ndarray, pilots, sigma_w2: float) -> CovarianceSketch:
-    """Sample covariance plus its noise-mean-removed vectorization."""
-    Y = np.asarray(Y_p)
-    phi = sample_covariance(Y)
-    _, x = build_smv(phi, pilots, sigma_w2)
-    return CovarianceSketch(phi_yy=phi, x=x, M_used=Y.shape[0])
 
 
 def default_penalty(A: np.ndarray, x: np.ndarray, snapshots: int) -> float:

@@ -66,44 +66,51 @@ __all__ = [
     "parse_sweep",
     "parse_config_file",
     "apply_settings",
+    "CONFIG_KEYS",
 ]
 
 DETECTOR_NAMES = ("cov-lasso", "msbl", "bomp", "mfocuss")
 GENIE_NAMES = ("pai", "paci")
-SWEEP_AXES = ("none", "sparsity", "snr", "antennas")
+SWEEP_AXES = ("none", "sparsity", "snr", "antennas")  # "none" (unswept) first
 
 _PILOT_STREAM = 0x70494C4F  # stream key for the shared dictionary draw
+_NO_KEY = {"key": None}  # field metadata: no configuration key sets this field
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All scenario and solver parameters for one experiment."""
+    """All scenario and solver parameters for one experiment.
+
+    This class declares the configuration language: a field is set by the
+    key named in its ``key`` metadata, or else by its own name, and its
+    value text is parsed by its annotation (see :func:`apply_settings`).
+    """
 
     K: int = 64
     L: int = 20
     M: int = 128
     D: int = 10
     activity_prob: float | None = None
-    snr_db: float = 0.0
+    snr_db: float = field(default=0.0, metadata={"key": "snr"})
     trials: int = 200
     seed: int = 0
     detector: str = "cov-lasso"
-    sweep_axis: str = "none"
-    sweep_values: tuple[float, ...] = ()
+    sweep_axis: str = field(default="none", metadata=_NO_KEY)  # set by the ``sweep`` key
+    sweep_values: tuple[float, ...] = field(default=(), metadata=_NO_KEY)
     N: int = 40
     modulation: str = "qpsk"
     channel: str = "gaussian"
     paths: int = 200
     lam: float | None = None
-    max_iterations: int = 2000
-    objective_tolerance: float = 1e-10
-    threshold_ratio: float = 0.1
-    use_known_sparsity: bool = True
-    spread_length: int = 0
+    max_iterations: int = field(default=2000, metadata={"key": "max_iters"})
+    objective_tolerance: float = field(default=1e-10, metadata={"key": "tol"})
+    threshold_ratio: float = field(default=0.1, metadata={"key": "tau"})
+    use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
+    spread_length: int = field(default=0, metadata={"key": "spread"})
     redraw_pilots: bool = True
-    compute_bound: bool = False
+    compute_bound: bool = field(default=False, metadata={"key": "bound"})
     workers: int = 1
-    stream: int = 0
+    stream: int = field(default=0, metadata=_NO_KEY)  # sweep-point index, set by the harness
 
     def validate(self) -> None:
         if self.K < 1 or self.L < 1 or self.M < 1:
@@ -306,9 +313,6 @@ def _link_metrics(
                 aligned[:, col] = H_hat[:, position[k]]
         mse = channel_mse(H_entries[:, true_active], aligned)
 
-    N = true_symbols.shape[1]
-    soft = None
-    indices = None
     est_symbols = np.zeros_like(true_symbols)
     if Y_d is not None and H_hat is not None and detected:
         try:
@@ -318,16 +322,9 @@ def _link_metrics(
         if soft is not None:
             if codes is not None:
                 soft = despread_symbols(soft, codes[detected])
-            indices = demodulate(soft, scheme)
-            est_symbols[detected] = scheme.points[indices]
+            est_symbols[detected] = scheme.points[demodulate(soft, scheme)]
     ser = symbol_error_rate(true_symbols, est_symbols, support_true, support_hat)
-    return LinkResult(
-        H_hat=H_hat if H_hat is not None else np.zeros((M, 0), dtype=complex),
-        D_soft=soft if soft is not None else np.zeros((0, N), dtype=complex),
-        symbol_indices=indices if indices is not None else np.zeros((0, N), dtype=int),
-        ser=ser,
-        channel_mse=mse,
-    )
+    return LinkResult(ser=ser, channel_mse=mse)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -500,7 +497,7 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     """Parse ``axis:start:step:stop`` or ``axis:v1,v2,...`` sweep syntax."""
     parts = spec.split(":")
     axis = parts[0].strip()
-    if axis not in ("sparsity", "snr", "antennas"):
+    if axis not in SWEEP_AXES[1:]:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     try:
         if len(parts) == 4:
@@ -520,31 +517,35 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     return axis, values
 
 
-_BOOL_KEYS = {"known_sparsity", "redraw_pilots", "bound"}
-_INT_KEYS = {"K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "max_iters", "spread"}
-_FLOAT_KEYS = {"snr", "activity_prob", "lam", "tau", "tol"}
-_STR_KEYS = {"detector", "modulation", "channel"}
-
-_FIELD_BY_KEY = {
-    "K": "K", "L": "L", "M": "M", "D": "D",
-    "snr": "snr_db", "activity_prob": "activity_prob",
-    "trials": "trials", "seed": "seed", "workers": "workers",
-    "N": "N", "paths": "paths", "max_iters": "max_iterations",
-    "spread": "spread_length", "lam": "lam", "tau": "threshold_ratio",
-    "tol": "objective_tolerance", "detector": "detector",
-    "modulation": "modulation", "channel": "channel",
-    "known_sparsity": "use_known_sparsity", "redraw_pilots": "redraw_pilots",
-    "bound": "compute_bound",
-}
-
-
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"boolean expected for {key}, got {text!r}")
+    raise ValueError(f"boolean expected, got {text!r}")
+
+
+def _parse_optional_float(text: str) -> float | None:
+    return None if text.strip().lower() in ("auto", "none", "") else float(text)
+
+
+# value parser per field annotation
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": _parse_optional_float,
+    "bool": _parse_bool,
+    "str": str,
+}
+
+# configuration key -> (field it sets, parser of its value text)
+_SETTERS = {
+    key: (f.name, _PARSERS[f.type])
+    for f in dataclasses.fields(ExperimentConfig)
+    if (key := f.metadata.get("key", f.name)) is not None
+}
+CONFIG_KEYS = (*_SETTERS, "sweep")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -567,25 +568,13 @@ def apply_settings(config: ExperimentConfig, settings: dict[str, str]) -> Experi
     updates: dict = {}
     for key, value in settings.items():
         if key == "sweep":
-            axis, values = parse_sweep(value)
-            updates["sweep_axis"] = axis
-            updates["sweep_values"] = values
+            updates["sweep_axis"], updates["sweep_values"] = parse_sweep(value)
             continue
-        if key not in _FIELD_BY_KEY:
+        if key not in _SETTERS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        field = _FIELD_BY_KEY[key]
+        name, parse = _SETTERS[key]
         try:
-            if key in _BOOL_KEYS:
-                updates[field] = _parse_bool(value, key)
-            elif key in _INT_KEYS:
-                updates[field] = int(value)
-            elif key in _FLOAT_KEYS:
-                if key in ("lam", "activity_prob") and value.strip().lower() in ("auto", "none", ""):
-                    updates[field] = None
-                else:
-                    updates[field] = float(value)
-            else:
-                updates[field] = value
+            updates[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return dataclasses.replace(config, **updates)

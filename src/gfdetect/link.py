@@ -63,11 +63,8 @@ def qpsk() -> ModulationScheme:
 
 @dataclass(frozen=True)
 class LinkResult:
-    """Outcome of the estimation/decoding stage for one detected support."""
+    """Scores of the estimation/decoding stage for one detected support."""
 
-    H_hat: np.ndarray
-    D_soft: np.ndarray
-    symbol_indices: np.ndarray
     ser: float
     channel_mse: float
 

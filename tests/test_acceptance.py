@@ -71,9 +71,15 @@ def test_criterion_01_vectorization_identity():
         rhs = (S.entries @ np.diag(r) @ S.entries.conj().T).ravel(order="F")
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and elapsed < 1.0
-    report(1, ok, f"vectorization identity: worst residual {worst:.2e}, {elapsed:.2f}s")
-    assert ok
+    failures = []
+    if not worst < 1e-10:
+        failures.append(f"worst residual {worst:.2e} >= 1e-10")
+    if elapsed >= 1.0:
+        failures.append(f"took {elapsed:.2f}s, over the 1s budget")
+    ok = not failures
+    report(1, ok, f"vectorization identity: worst residual {worst:.2e}, {elapsed:.2f}s"
+           + (f"; violations: {failures}" if failures else ""))
+    assert ok, failures
 
 
 def test_criterion_02_coherence_identity():
@@ -87,9 +93,15 @@ def test_criterion_02_coherence_identity():
         explicit = mutual_coherence(khatri_rao_dictionary(S))
         worst = max(worst, abs(explicit - S.coherence**2))
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and elapsed < 1.0
-    report(2, ok, f"lifted coherence equals squared coherence: worst gap {worst:.2e}, {elapsed:.2f}s")
-    assert ok
+    failures = []
+    if not worst < 1e-10:
+        failures.append(f"worst gap {worst:.2e} >= 1e-10")
+    if elapsed >= 1.0:
+        failures.append(f"took {elapsed:.2f}s, over the 1s budget")
+    ok = not failures
+    report(2, ok, f"lifted coherence equals squared coherence: worst gap {worst:.2e}, {elapsed:.2f}s"
+           + (f"; violations: {failures}" if failures else ""))
+    assert ok, failures
 
 
 def test_criterion_03_fig2_reproduction():
@@ -225,14 +237,19 @@ def test_criterion_07_power_floor_check():
     beta = chernoff_power_rate(0.5, 1.0).beta
     elapsed = time.perf_counter() - start
     margin = 3 * math.sqrt(out.bound * (1 - out.bound) / 10_000)
-    ok = (
-        abs(beta - 1.1014) < 1e-4
-        and abs(out.bound - 0.9980) < 1e-4
-        and out.empirical_prob >= out.bound - margin
-        and elapsed < 5.0
-    )
-    report(7, ok, f"power floor: rate {beta:.4f}, floor {out.bound:.4f}, empirical {out.empirical_prob:.4f}, {elapsed:.1f}s")
-    assert ok
+    failures = []
+    if not abs(beta - 1.1014) < 1e-4:
+        failures.append(f"rate {beta:.6f} is not 1.1014 +- 1e-4")
+    if not abs(out.bound - 0.9980) < 1e-4:
+        failures.append(f"floor {out.bound:.6f} is not 0.9980 +- 1e-4")
+    if not out.empirical_prob >= out.bound - margin:
+        failures.append(f"empirical {out.empirical_prob:.4f} < floor {out.bound:.4f} - 3 sigma {margin:.4f}")
+    if elapsed >= 5.0:
+        failures.append(f"took {elapsed:.1f}s, over the 5s budget")
+    ok = not failures
+    report(7, ok, f"power floor: rate {beta:.4f}, floor {out.bound:.4f}, empirical {out.empirical_prob:.4f}, {elapsed:.1f}s"
+           + (f"; violations: {failures}" if failures else ""))
+    assert ok, failures
 
 
 def test_criterion_08_noiseless_end_to_end():

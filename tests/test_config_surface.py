@@ -1,0 +1,183 @@
+"""The public configuration surface: every key, its field, its parser and its flag.
+
+Config files and CLI flags both go through ``apply_settings``; these tests pin
+which field each key sets, how each value is parsed, which values are
+rejected, and which flag the CLI offers for each key.
+"""
+
+import argparse
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from gfdetect import cli
+from gfdetect.errors import ConfigError
+from gfdetect.harness import ExperimentConfig, apply_settings
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# key: (field, well-formed value, parsed value, malformed value)
+KEYS = {
+    "K": ("K", "32", 32, "3.5"),
+    "L": ("L", "10", 10, "ten"),
+    "M": ("M", "48", 48, "1e3"),
+    "D": ("D", "5", 5, "x"),
+    "snr": ("snr_db", "-5.5", -5.5, "loud"),
+    "activity_prob": ("activity_prob", "0.25", 0.25, "half"),
+    "trials": ("trials", "7", 7, "7.0"),
+    "seed": ("seed", "123", 123, "abc"),
+    "workers": ("workers", "2", 2, "two"),
+    "N": ("N", "8", 8, ""),
+    "paths": ("paths", "50", 50, "many"),
+    "max_iters": ("max_iterations", "300", 300, "1.5"),
+    "spread": ("spread_length", "4", 4, "four"),
+    "lam": ("lam", "0.3", 0.3, "big"),
+    "tau": ("threshold_ratio", "0.2", 0.2, "auto"),
+    "tol": ("objective_tolerance", "1e-8", 1e-8, "none"),
+    "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
+    "modulation": ("modulation", "qpsk", "qpsk", "bpsk64"),
+    "channel": ("channel", "ula", "ula", "rayleigh"),
+    "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
+    "redraw_pilots": ("redraw_pilots", "off", False, "2"),
+    "bound": ("compute_bound", "yes", True, "sure"),
+}
+SWEEP = ("snr:-10:5:0", ("snr", (-10.0, -5.0, 0.0)), "volume:1,2")
+FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
+
+FIELDS = (
+    "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
+    "sweep_axis", "sweep_values", "N", "modulation", "channel", "paths", "lam",
+    "max_iterations", "objective_tolerance", "threshold_ratio", "use_known_sparsity",
+    "spread_length", "redraw_pilots", "compute_bound", "workers", "stream",
+)
+INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "max_iters", "spread")
+FLOAT_KEYS = ("snr", "activity_prob", "lam", "tau", "tol")
+NULLABLE_KEYS = ("lam", "activity_prob")
+BOOL_KEYS = ("known_sparsity", "redraw_pilots", "bound")
+TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _sweep_subparser() -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["sweep"]
+
+
+def test_config_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(ExperimentConfig)) == FIELDS
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+def test_key_sets_its_field(key):
+    name, text, value, _ = KEYS[key]
+    config = apply_settings(ExperimentConfig(), {key: text})
+    assert getattr(config, name) == value
+    assert config == dataclasses.replace(ExperimentConfig(), **{name: value})
+
+
+def test_sweep_key_sets_axis_and_values():
+    text, (axis, values), _ = SWEEP
+    config = apply_settings(ExperimentConfig(), {"sweep": text})
+    assert (config.sweep_axis, config.sweep_values) == (axis, values)
+
+
+@pytest.mark.parametrize("key", sorted(KEYS) + ["sweep"])
+def test_malformed_value_is_a_config_error(key):
+    bad = SWEEP[2] if key == "sweep" else KEYS[key][3]
+    with pytest.raises(ConfigError):
+        apply_settings(ExperimentConfig(), {key: bad}).validate()
+
+
+@pytest.mark.parametrize(
+    "name", ["bogus", "snr_db", "max_iterations", "use_known_sparsity", "compute_bound",
+             "sweep_axis", "sweep_values", "stream"],
+)
+def test_field_names_and_internal_fields_are_not_keys(name):
+    with pytest.raises(ConfigError):
+        apply_settings(ExperimentConfig(), {name: "1"})
+
+
+def test_cli_offers_exactly_one_flag_per_key():
+    sweep = _sweep_subparser()
+    options = {s for action in sweep._actions for s in action.option_strings}
+    fixed = {"-h", "--help", "--preset", "--config", "--axis", "--values", "--out"}
+    assert options == set(FLAGS) | fixed
+    axis = next(a for a in sweep._actions if a.dest == "axis")
+    assert tuple(axis.choices) == ("sparsity", "snr", "antennas")
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_cli_flag_sets_its_field(flag):
+    key = FLAGS[flag]
+    args = cli.build_parser().parse_args(["sweep", flag, SWEEP[0] if key == "sweep" else KEYS[key][1]])
+    config = cli._build_config(args)
+    if key == "sweep":
+        assert (config.sweep_axis, config.sweep_values) == SWEEP[1]
+    else:
+        name, _, value, _ = KEYS[key]
+        assert getattr(config, name) == value
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_cli_flag_rejects_malformed_value(flag, capsys):
+    key = FLAGS[flag]
+    bad = SWEEP[2] if key == "sweep" else KEYS[key][3]
+    assert cli.main(["sweep", flag, bad]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_readme_lists_every_key():
+    match = re.search(r"Config keys: `([^`]*)`", README.read_text(encoding="utf-8"))
+    assert match, "README has no 'Config keys:' line"
+    listed = match.group(1).split()
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(KEYS) | {"sweep"}
+
+
+@given(key=st.sampled_from(INT_KEYS), n=st.integers(-(10**15), 10**15))
+def test_integers_round_trip(key, n):
+    config = apply_settings(ExperimentConfig(), {key: str(n)})
+    assert getattr(config, KEYS[key][0]) == n
+
+
+@given(key=st.sampled_from(FLOAT_KEYS), x=st.floats(allow_nan=False))
+def test_floats_round_trip(key, x):
+    config = apply_settings(ExperimentConfig(), {key: repr(x)})
+    assert getattr(config, KEYS[key][0]) == x
+
+
+@given(
+    key=st.sampled_from(BOOL_KEYS),
+    word=st.sampled_from(TRUE_WORDS + FALSE_WORDS),
+    upper=st.lists(st.booleans(), min_size=5, max_size=5),
+    pad=st.sampled_from(["", " ", "\t"]),
+)
+def test_every_boolean_spelling_parses(key, word, upper, pad):
+    text = pad + "".join(c.upper() if u else c for c, u in zip(word, upper)) + pad
+    config = apply_settings(ExperimentConfig(), {key: text})
+    assert getattr(config, KEYS[key][0]) is (word in TRUE_WORDS)
+
+
+@given(key=st.sampled_from(BOOL_KEYS), text=st.text(max_size=6))
+def test_other_boolean_text_is_rejected(key, text):
+    assume(text.strip().lower() not in TRUE_WORDS + FALSE_WORDS)
+    with pytest.raises(ConfigError):
+        apply_settings(ExperimentConfig(), {key: text})
+
+
+@given(
+    key=st.sampled_from(INT_KEYS + FLOAT_KEYS),
+    word=st.sampled_from(["auto", "none", "", "AUTO", " None ", "\t"]),
+)
+def test_missing_value_means_none_only_for_nullable_keys(key, word):
+    if key in NULLABLE_KEYS:
+        config = apply_settings(ExperimentConfig(lam=0.5, activity_prob=0.5), {key: word})
+        assert getattr(config, KEYS[key][0]) is None
+    else:
+        with pytest.raises(ConfigError):
+            apply_settings(ExperimentConfig(), {key: word})

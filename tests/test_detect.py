@@ -6,7 +6,6 @@ import pytest
 from gfdetect.detect import (
     LassoOptions,
     build_smv,
-    covariance_sketch,
     default_penalty,
     detect_activity,
     extract_support,
@@ -119,18 +118,6 @@ class TestBuildSmv:
         S = gen_gaussian_dictionary(5, 8, derive_rng(4))
         with pytest.raises(InvalidParameterError):
             build_smv(np.eye(4), S, 0.0)
-
-    def test_sketch_invariants(self):
-        rng = derive_rng(15)
-        S = gen_gaussian_dictionary(6, 12, rng)
-        sup = draw_support(12, rng, size=3)
-        H = draw_channel_gaussian(64, sup, rng)
-        Y = received_pilot(H, S, NoiseSpec(0.2), rng)
-        sketch = covariance_sketch(Y, S, 0.2)
-        assert sketch.M_used == 64
-        assert np.max(np.abs(sketch.phi_yy - sketch.phi_yy.conj().T)) < 1e-10
-        assert np.min(np.linalg.eigvalsh(sketch.phi_yy)) > -1e-8
-        assert sketch.x.shape == (36,)
 
 
 class TestNnLasso:

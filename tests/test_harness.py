@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from gfdetect.cli import main
 from gfdetect.errors import ConfigError, InvalidParameterError
 from gfdetect.harness import (
+    CONFIG_KEYS,
     PRESETS,
     ExperimentConfig,
     MetricsRow,
@@ -88,6 +91,11 @@ class TestConfigFile:
         assert cfg.detector == "msbl"
         assert cfg.use_known_sparsity is False
         assert cfg.lam is None
+
+    def test_readme_lists_the_derived_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Config keys: `([^`]*)`", readme).group(1).split()
+        assert sorted(listed) == sorted(CONFIG_KEYS)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
