@@ -62,10 +62,8 @@ from .model import (
 from .pilots import (
     PilotDictionary,
     gen_gaussian_dictionary,
-    khatri_rao_coherence,
     khatri_rao_dictionary,
     max_identifiable_support,
-    min_pilot_length,
     mutual_coherence,
     welch_bound,
 )

@@ -34,6 +34,15 @@ __all__ = ["MmvProblem", "msbl", "bomp", "mfocuss"]
 # exactly zero (unit-power channels, unit-energy symbols)
 _GAMMA_FLOOR = 1e-8
 
+# fixed solver settings; the baseline curves are defined by these values
+_MSBL_MAX_ITERS = 500
+_MSBL_PRUNE_TOLERANCE = 0.4
+_MSBL_GAMMA_TOL = 1e-6
+_FOCUSS_P = 0.8
+_FOCUSS_MAX_ITERS = 200
+_FOCUSS_PRUNE_TOLERANCE = 0.5
+_FOCUSS_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MmvProblem:
@@ -63,24 +72,16 @@ class MmvProblem:
         return self.Y.shape[1]
 
 
-def msbl(
-    problem: MmvProblem,
-    max_iters: int = 500,
-    prune_tolerance: float = 0.4,
-    D_known: int | None = None,
-    gamma_tol: float = 1e-6,
-) -> Support:
+def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     """Row-sparse support recovery via sparse Bayesian learning (EM updates).
 
     Each row of the unknown gets a Gaussian prior with its own variance
     hyperparameter; EM alternates the posterior moments with the variance
     update ``gamma_k = mean_m |mu_km|^2 + Sigma_kk``. The noise variance is
-    held fixed at the problem's true value. Iteration stops when the
-    relative hyperparameter change falls below ``gamma_tol``. The support is
-    the ``D_known`` largest hyperparameters, or all above
-    ``prune_tolerance * max(gamma)`` (the rule of
-    :func:`~gfdetect.detect.extract_support`; ``prune_tolerance`` lies in
-    ``(0, 1)``).
+    held fixed at the problem's true value. Iteration stops after 500 EM
+    steps or once the relative hyperparameter change falls below 1e-6. The
+    support is the ``D_known`` largest hyperparameters, or all above
+    ``0.4 * max(gamma)`` (the rule of :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.pilots.entries
     Y = problem.Y
@@ -90,7 +91,7 @@ def msbl(
 
     gamma = np.ones(K)
     eye = np.eye(L)
-    for _ in range(max_iters):
+    for _ in range(_MSBL_MAX_ITERS):
         SG = S * gamma[None, :]
         sigma_y = sigma2 * eye + SG @ S.conj().T
         solved = np.linalg.solve(sigma_y, np.concatenate([S, Y], axis=1))
@@ -104,9 +105,9 @@ def msbl(
         peak = gamma_new.max()
         change = np.max(np.abs(gamma_new - gamma))
         gamma = gamma_new
-        if peak == 0.0 or change <= gamma_tol * max(peak, 1e-30):
+        if peak == 0.0 or change <= _MSBL_GAMMA_TOL * max(peak, 1e-30):
             break
-    return extract_support(gamma, LassoOptions(threshold_ratio=prune_tolerance, known_sparsity=D_known))
+    return extract_support(gamma, LassoOptions(threshold_ratio=_MSBL_PRUNE_TOLERANCE, known_sparsity=D_known))
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:
@@ -137,53 +138,42 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     return Support(tuple(sorted(selected)), K)
 
 
-def mfocuss(
-    problem: MmvProblem,
-    p: float = 0.8,
-    lam: float | None = None,
-    max_iters: int = 200,
-    prune_tolerance: float = 0.5,
-    D_known: int | None = None,
-    tol: float = 1e-6,
-) -> Support:
+def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     """Regularized M-FOCUSS: reweighted least squares toward row sparsity.
 
-    Row weights are the current row norms raised to ``1 - p/2`` and the
-    inner system is Tikhonov-regularized by ``lam``. The default ``lam``
-    scales the noise variance by the square root of the snapshot count,
-    matching how the row energies grow with snapshots. A singular inner
-    system triggers an internal regularization bump with a warning. The
-    support comes from the final row norms by the rule of
-    :func:`~gfdetect.detect.extract_support`.
+    Row weights are the current row norms raised to ``1 - p/2`` with
+    ``p = 0.8``, and the inner system is Tikhonov-regularized by ``lam``,
+    the noise variance scaled by the square root of the snapshot count
+    (matching how the row energies grow with snapshots). A singular inner
+    system triggers an internal regularization bump with a warning.
+    Iteration stops after 200 steps or once the relative change falls below
+    1e-6. The support is the ``D_known`` largest final row norms, or all
+    above ``0.5`` times the largest (the rule of
+    :func:`~gfdetect.detect.extract_support`).
     """
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameterError(f"p must lie in (0, 1], got {p}")
     S = problem.pilots.entries
     Y = problem.Y
     L = S.shape[0]
-    if lam is None:
-        lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))
-    if lam < 0:
-        raise InvalidParameterError(f"lam must be >= 0, got {lam}")
+    lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))
 
     eye = np.eye(L)
     # min-norm least squares start
     X = S.conj().T @ _solve_regularized(S @ S.conj().T, lam, Y, eye)
-    for _ in range(max_iters):
+    for _ in range(_FOCUSS_MAX_ITERS):
         row_norms = np.linalg.norm(X, axis=1)
         peak = row_norms.max()
         if peak == 0.0:
             break
-        weights = row_norms ** (1.0 - p / 2.0)
+        weights = row_norms ** (1.0 - _FOCUSS_P / 2.0)
         B = S * weights[None, :]
         Z = _solve_regularized(B @ B.conj().T, lam, Y, eye)
         X_new = weights[:, None] * (B.conj().T @ Z)
         change = np.linalg.norm(X_new - X)
         X = X_new
-        if change <= tol * max(np.linalg.norm(X), 1e-30):
+        if change <= _FOCUSS_TOL * max(np.linalg.norm(X), 1e-30):
             break
     final_norms = np.linalg.norm(X, axis=1)
-    return extract_support(final_norms, LassoOptions(threshold_ratio=prune_tolerance, known_sparsity=D_known))
+    return extract_support(final_norms, LassoOptions(threshold_ratio=_FOCUSS_PRUNE_TOLERANCE, known_sparsity=D_known))
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:

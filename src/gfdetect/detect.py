@@ -54,8 +54,8 @@ class LassoOptions:
             raise InvalidParameterError("max_iterations must be >= 1")
         if not 0.0 < self.threshold_ratio < 1.0:
             raise InvalidParameterError("threshold_ratio must lie in (0, 1)")
-        if self.objective_tolerance < 0:
-            raise InvalidParameterError("objective_tolerance must be >= 0")
+        if not self.objective_tolerance >= 0:  # also rejects NaN
+            raise InvalidParameterError(f"objective_tolerance must be >= 0, got {self.objective_tolerance}")
         if self.known_sparsity is not None and self.known_sparsity < 0:
             raise InvalidParameterError("known_sparsity must be >= 0")
 
@@ -67,8 +67,6 @@ class DetectionResult:
     r_hat: np.ndarray
     support_hat: Support
     iterations: int
-    final_objective: float
-    residual_norm: float
     converged: bool
     lam: float
     objective_history: np.ndarray
@@ -213,14 +211,10 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
             plain_step = True
             history.append(obj)
 
-    residual = A @ r - x
-    residual_norm = float(np.linalg.norm(residual))
     return DetectionResult(
         r_hat=r,
         support_hat=extract_support(r, opts),
         iterations=iterations,
-        final_objective=obj,
-        residual_norm=residual_norm,
         converged=converged,
         lam=float(lam),
         objective_history=np.asarray(history),

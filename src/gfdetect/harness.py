@@ -98,7 +98,6 @@ class ExperimentConfig:
     sweep_axis: str = field(default="none", metadata=_NO_KEY)  # set by the ``sweep`` key
     sweep_values: tuple[float, ...] = field(default=(), metadata=_NO_KEY)
     N: int = 40
-    modulation: str = "qpsk"
     channel: str = "gaussian"
     paths: int = 200
     lam: float | None = None
@@ -129,8 +128,6 @@ class ExperimentConfig:
             raise ConfigError(f"paths must be >= 1, got {self.paths}")
         if self.spread_length < 0:
             raise ConfigError(f"spread_length must be >= 0, got {self.spread_length}")
-        if self.modulation != "qpsk":
-            raise ConfigError(f"unknown modulation {self.modulation!r}")
         if self.channel not in ("gaussian", "ula"):
             raise ConfigError(f"unknown channel model {self.channel!r}")
         if self.sweep_axis not in SWEEP_AXES:
@@ -140,8 +137,16 @@ class ExperimentConfig:
         if self.sweep_axis == "sparsity" and self.activity_prob is not None:
             raise ConfigError("sparsity sweeps require fixed-size activity")
         self.detector_list()
+        for value in self.sweep_values:
+            if self.sweep_axis == "sparsity" and not (float(value).is_integer() and 0 <= value <= self.K):
+                raise ConfigError(f"sparsity values must be integers in [0, {self.K}], got {value}")
+            if self.sweep_axis == "antennas" and not (float(value).is_integer() and value >= 1):
+                raise ConfigError(f"antenna counts must be positive integers, got {value}")
+        snrs = self.sweep_values if self.sweep_axis == "snr" else ()
         try:
             self.lasso_options(self.D if self.use_known_sparsity else None)
+            for snr_db in (self.snr_db, *snrs):
+                NoiseSpec.from_snr_db(snr_db)
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -183,8 +188,6 @@ class TrialMetrics:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int
-    sparsity: int
     metrics: dict[str, TrialMetrics]
 
 
@@ -375,7 +378,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             channel_mse=link.channel_mse,
             runtime_ms=runtime_ms,
         )
-    return TrialRecord(trial_index, support.size, metrics)
+    return TrialRecord(metrics)
 
 
 def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
@@ -386,16 +389,12 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
     if config.sweep_axis == "none":
         return [(0.0, config)]
     points = []
-    for i, value in enumerate(config.sweep_values):
+    for i, value in enumerate(config.sweep_values):  # checked by validate()
         if config.sweep_axis == "sparsity":
-            if value != int(value) or not 0 <= int(value) <= config.K:
-                raise ConfigError(f"sparsity values must be integers in [0, {config.K}], got {value}")
             pc = dataclasses.replace(config, D=int(value), stream=i)
         elif config.sweep_axis == "snr":
             pc = dataclasses.replace(config, snr_db=float(value), stream=i)
         else:  # antennas
-            if value != int(value) or int(value) < 1:
-                raise ConfigError(f"antenna counts must be positive integers, got {value}")
             pc = dataclasses.replace(config, M=int(value), stream=i)
         points.append((float(value), pc))
     return points

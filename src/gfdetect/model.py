@@ -8,7 +8,7 @@ that trials are reproducible, order-independent, and safe to run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "received_pilot",
     "received_data",
 ]
+
+_HALF_WAVELENGTH = 0.5  # uniform-linear-array element spacing, in wavelengths
 
 
 def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
@@ -75,30 +77,16 @@ class Support:
     def size(self) -> int:
         return len(self.indices)
 
-    def mask(self) -> np.ndarray:
-        """Boolean activity mask of length ``K``."""
-        m = np.zeros(self.K, dtype=bool)
-        m[list(self.indices)] = True
-        return m
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "Support":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(tuple(int(i) for i in np.flatnonzero(mask)), mask.size)
-
 
 @dataclass(frozen=True)
 class ChannelMatrix:
     """Flat-fading uplink channel: ``M`` antennas by ``K`` nodes.
 
-    Columns outside the support are exactly zero. ``variances`` holds the
-    per-node channel power for the active nodes, aligned with
-    ``support.indices``.
+    Columns outside the support are exactly zero.
     """
 
     entries: np.ndarray
     support: Support
-    variances: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
@@ -108,22 +96,7 @@ class ChannelMatrix:
             )
         if not np.all(np.isfinite(entries)):
             raise InvalidParameterError("channel entries must be finite")
-        variances = self.variances
-        if variances is None:
-            variances = np.ones(self.support.size)
-        variances = np.asarray(variances, dtype=float)
-        if variances.shape != (self.support.size,):
-            raise InvalidParameterError("one variance per active node required")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "variances", variances)
-
-    @property
-    def num_antennas(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.entries.shape[1]
 
     def active_entries(self) -> np.ndarray:
         """The ``M x D`` block of active columns, in support order."""
@@ -141,17 +114,14 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.variance < 0 or not math.isfinite(self.variance):
-            raise InvalidParameterError(f"noise variance must be >= 0, got {self.variance}")
+            raise InvalidParameterError(f"noise variance must be finite and >= 0, got {self.variance}")
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
-        return cls(10.0 ** (-snr_db / 10.0))
-
-    @property
-    def snr_db(self) -> float:
-        if self.variance == 0:
-            return math.inf
-        return -10.0 * math.log10(self.variance)
+        try:
+            return cls(10.0 ** (-snr_db / 10.0))
+        except OverflowError:  # the variance is beyond the float range
+            return cls(math.inf)
 
 
 def draw_support(
@@ -181,25 +151,21 @@ def draw_support(
     return Support(tuple(int(i) for i in idx), K)
 
 
-def steering_vector(M: int, theta: float, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Uniform-linear-array response for arrival angle ``theta`` (radians).
+def steering_vector(M: int, theta) -> np.ndarray:
+    """Half-wavelength uniform-linear-array response for arrival angle ``theta``.
 
-    Element ``m`` equals ``exp(-2j*pi*m*spacing_ratio*cos(theta))``; the
-    default spacing is half a wavelength.
+    Element ``m`` equals ``exp(-2j*pi*m*cos(theta)/2)`` (``theta`` in
+    radians). A scalar angle gives a length-``M`` vector; a 1-D array of
+    angles gives an ``M x len(theta)`` matrix, one column per angle.
     """
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
-    m = np.arange(M)
-    return np.exp(-2j * np.pi * m * spacing_ratio * math.cos(theta))
+    phase = _HALF_WAVELENGTH * np.cos(np.asarray(theta, dtype=float))
+    antenna = np.arange(M).reshape((M,) + (1,) * phase.ndim)
+    return np.exp(-2j * np.pi * antenna * phase)
 
 
-def draw_channel_ula(
-    M: int,
-    paths: int,
-    support: Support,
-    rng: np.random.Generator,
-    spacing_ratio: float = 0.5,
-) -> ChannelMatrix:
+def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Generator) -> ChannelMatrix:
     """Geometric multipath channel on a uniform linear array.
 
     Each active column superposes ``paths`` planar wavefronts with standard
@@ -212,13 +178,11 @@ def draw_channel_ula(
     if paths < 1:
         raise InvalidParameterError(f"paths must be >= 1, got {paths}")
     H = np.zeros((M, support.K), dtype=complex)
-    antenna = np.arange(M)[:, None]
     for k in support.indices:
         gains = complex_normal(rng, paths)
         thetas = rng.uniform(-np.pi / 2, np.pi / 2, paths)
-        steer = np.exp(-2j * np.pi * antenna * (spacing_ratio * np.cos(thetas))[None, :])
-        H[:, k] = steer @ gains / math.sqrt(paths)
-    return ChannelMatrix(H, support, np.ones(support.size))
+        H[:, k] = steering_vector(M, thetas) @ gains / math.sqrt(paths)
+    return ChannelMatrix(H, support)
 
 
 def draw_channel_gaussian(
@@ -242,7 +206,7 @@ def draw_channel_gaussian(
     if support.size:
         block = complex_normal(rng, (M, support.size)) * np.sqrt(var)[None, :]
         H[:, list(support.indices)] = block
-    return ChannelMatrix(H, support, var)
+    return ChannelMatrix(H, support)
 
 
 def _as_matrix(obj) -> np.ndarray:

@@ -20,12 +20,8 @@ __all__ = [
     "gen_gaussian_dictionary",
     "mutual_coherence",
     "khatri_rao_dictionary",
-    "khatri_rao_coherence",
     "welch_bound",
     "max_identifiable_support",
-    "min_pilot_length",
-    "save_csv",
-    "load_csv",
 ]
 
 
@@ -38,14 +34,9 @@ def _normalize_columns(entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PilotDictionary:
-    """``L x K`` training dictionary with unit-norm columns.
-
-    The mutual coherence is computed once at construction and cached.
-    """
+    """``L x K`` training dictionary with unit-norm columns."""
 
     entries: np.ndarray
-    coherence: float
-    kind: str
 
     @property
     def L(self) -> int:
@@ -55,16 +46,19 @@ class PilotDictionary:
     def K(self) -> int:
         return self.entries.shape[1]
 
+    @property
+    def coherence(self) -> float:
+        """Mutual coherence of the columns; 0.0 for a single column."""
+        return mutual_coherence(self.entries) if self.K >= 2 else 0.0
+
     @classmethod
-    def from_matrix(cls, entries: np.ndarray, kind: str = "user-supplied") -> "PilotDictionary":
+    def from_matrix(cls, entries: np.ndarray) -> "PilotDictionary":
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise InvalidParameterError(f"pilot matrix must be 2-D and nonempty, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise InvalidParameterError("pilot entries must be finite")
-        normalized = _normalize_columns(entries)
-        mu = mutual_coherence(normalized) if entries.shape[1] >= 2 else 0.0
-        return cls(normalized, mu, kind)
+        return cls(_normalize_columns(entries))
 
 
 def gen_gaussian_dictionary(L: int, K: int, rng: np.random.Generator) -> PilotDictionary:
@@ -72,7 +66,7 @@ def gen_gaussian_dictionary(L: int, K: int, rng: np.random.Generator) -> PilotDi
     if L < 1 or K < 1:
         raise InvalidParameterError(f"L and K must be >= 1, got L={L}, K={K}")
     raw = rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))
-    return PilotDictionary.from_matrix(raw, kind="gaussian-random")
+    return PilotDictionary.from_matrix(raw)
 
 
 def mutual_coherence(pilots) -> float:
@@ -98,13 +92,6 @@ def khatri_rao_dictionary(pilots) -> np.ndarray:
         raise InvalidParameterError(f"pilot matrix must be 2-D, got {S.shape}")
     L = S.shape[0]
     return (S.conj()[:, None, :] * S[None, :, :]).reshape(L * L, S.shape[1])
-
-
-def khatri_rao_coherence(mu: float) -> float:
-    """Coherence of the Kronecker-lifted dictionary: the base coherence squared."""
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidParameterError(f"coherence must lie in [0, 1], got {mu}")
-    return mu * mu
 
 
 def welch_bound(K: int, L: int) -> float:
@@ -136,64 +123,3 @@ def max_identifiable_support(mu: float) -> int:
         d -= 1
     return max(d, 0)
 
-
-def min_pilot_length(K: int, D_max: int) -> int:
-    """Shortest pilot length able to identify ``D_max`` active nodes.
-
-    Combines the squared-coherence support condition with the Welch floor;
-    the returned length strictly satisfies ``L > (2*K*D - K)/(K + 2*D - 2)``
-    and never exceeds ``K``.
-    """
-    if K < 2:
-        raise InvalidParameterError(f"K must be >= 2, got {K}")
-    if not 1 <= D_max <= K:
-        raise InvalidParameterError(f"D_max must be in [1, {K}], got {D_max}")
-    numerator = 2 * K * D_max - K
-    denominator = K + 2 * D_max - 2
-    return numerator // denominator + 1
-
-
-def save_csv(pilots: PilotDictionary, destination) -> None:
-    """Write a dictionary as CSV: an ``L,K`` header, then row-major entries
-    with real and imaginary parts interleaved."""
-    S = pilots.entries
-    lines = ["L,K", f"{pilots.L},{pilots.K}"]
-    for row in S:
-        cells = []
-        for value in row:
-            cells.append(f"{value.real:.17g}")
-            cells.append(f"{value.imag:.17g}")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def load_csv(source) -> PilotDictionary:
-    """Read a dictionary written by :func:`save_csv`."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if len(lines) < 2 or lines[0].replace(" ", "") != "L,K":
-        raise InvalidParameterError("pilot CSV must start with an 'L,K' header")
-    try:
-        L, K = (int(tok) for tok in lines[1].split(","))
-    except ValueError as exc:
-        raise InvalidParameterError(f"malformed dimension row: {lines[1]!r}") from exc
-    rows = lines[2:]
-    if len(rows) != L:
-        raise InvalidParameterError(f"expected {L} matrix rows, found {len(rows)}")
-    entries = np.empty((L, K), dtype=complex)
-    for i, row in enumerate(rows):
-        cells = [float(tok) for tok in row.split(",")]
-        if len(cells) != 2 * K:
-            raise InvalidParameterError(f"row {i} must hold {2 * K} values, found {len(cells)}")
-        values = np.asarray(cells).reshape(K, 2)
-        entries[i] = values[:, 0] + 1j * values[:, 1]
-    return PilotDictionary.from_matrix(entries, kind="user-supplied")

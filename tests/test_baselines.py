@@ -101,13 +101,6 @@ class TestMfocuss:
         problem = MmvProblem.from_received_pilot(Y_p, S, 0.0)
         assert mfocuss(problem) == sup
 
-    def test_p_validation(self):
-        problem, _ = make_problem(8, 2, 10.0)
-        with pytest.raises(InvalidParameterError):
-            mfocuss(problem, p=0.0)
-        with pytest.raises(InvalidParameterError):
-            mfocuss(problem, p=1.2)
-
     def test_known_sparsity_selection(self):
         problem, sup = make_problem(9, 4, 10.0, M=128)
         assert mfocuss(problem, D_known=4) == sup

@@ -39,7 +39,6 @@ KEYS = {
     "tau": ("threshold_ratio", "0.2", 0.2, "auto"),
     "tol": ("objective_tolerance", "1e-8", 1e-8, "none"),
     "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
-    "modulation": ("modulation", "qpsk", "qpsk", "bpsk64"),
     "channel": ("channel", "ula", "ula", "rayleigh"),
     "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
     "redraw_pilots": ("redraw_pilots", "off", False, "2"),
@@ -50,7 +49,7 @@ FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 
 FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
-    "sweep_axis", "sweep_values", "N", "modulation", "channel", "paths", "lam",
+    "sweep_axis", "sweep_values", "N", "channel", "paths", "lam",
     "max_iterations", "objective_tolerance", "threshold_ratio", "use_known_sparsity",
     "spread_length", "redraw_pilots", "compute_bound", "workers", "stream",
 )

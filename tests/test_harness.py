@@ -44,14 +44,21 @@ class TestConfigValidation:
             ExperimentConfig(detector="nope").detector_list()
 
     def test_validate_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            quick_config(trials=0).validate()
-        with pytest.raises(ConfigError):
-            quick_config(D=100).validate()
-        with pytest.raises(ConfigError):
-            quick_config(modulation="bpsk64").validate()
-        with pytest.raises(ConfigError):
-            quick_config(sweep_axis="frequency").validate()
+        nan = float("nan")
+        for bad in (
+            dict(trials=0),
+            dict(D=100),
+            dict(sweep_axis="frequency"),
+            dict(snr_db=nan),
+            dict(snr_db=-4000.0),  # noise variance beyond the float range
+            dict(objective_tolerance=nan),
+            dict(sweep_axis="sparsity", sweep_values=(2.5,)),
+            dict(sweep_axis="sparsity", sweep_values=(nan,)),
+            dict(sweep_axis="antennas", sweep_values=(0,)),
+            dict(sweep_axis="snr", sweep_values=(0.0, nan)),
+        ):
+            with pytest.raises(ConfigError):
+                quick_config(**bad).validate()
 
     def test_sparsity_sweep_needs_fixed_size_mode(self):
         cfg = quick_config(sweep_axis="sparsity", sweep_values=(2, 4), activity_prob=0.1)
@@ -273,6 +280,17 @@ class TestCli:
 
     def test_config_error_exit_code(self):
         assert main(["sweep", "--detector", "bogus"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--snr", "nan"],
+        ["--tol", "nan"],
+        ["--axis", "sparsity", "--values", "2.5"],
+        ["--axis", "antennas", "--values", "0"],
+        ["--axis", "snr", "--values", "nan"],
+    ])
+    def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
+        assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2
+        assert capsys.readouterr().err.startswith("gfdetect: configuration error: ")
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -21,7 +21,7 @@ class TestSupport:
     def test_valid_construction(self):
         s = Support((1, 5, 9), 10)
         assert s.size == 3
-        assert s.mask().tolist() == [False, True, False, False, False, True, False, False, False, True]
+        assert s.indices == (1, 5, 9)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -32,10 +32,6 @@ class TestSupport:
             Support((3, 1), 10)
         with pytest.raises(InvalidParameterError):
             Support((2, 2), 10)
-
-    def test_mask_round_trip(self):
-        s = Support((0, 7), 8)
-        assert Support.from_mask(s.mask()) == s
 
 
 class TestDrawSupport:
@@ -92,6 +88,13 @@ class TestSteeringVector:
     def test_rejects_empty_array(self):
         with pytest.raises(InvalidParameterError):
             steering_vector(0, 0.0)
+
+    def test_angle_array_gives_one_column_per_angle(self):
+        thetas = derive_rng(4).uniform(-np.pi / 2, np.pi / 2, 7)
+        A = steering_vector(16, thetas)
+        assert A.shape == (16, 7)
+        for j, theta in enumerate(thetas):
+            assert np.array_equal(A[:, j], steering_vector(16, theta))
 
 
 class TestUlaChannel:

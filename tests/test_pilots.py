@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,9 @@ from gfdetect.model import derive_rng
 from gfdetect.pilots import (
     PilotDictionary,
     gen_gaussian_dictionary,
-    khatri_rao_coherence,
     khatri_rao_dictionary,
-    load_csv,
     max_identifiable_support,
-    min_pilot_length,
     mutual_coherence,
-    save_csv,
     welch_bound,
 )
 
@@ -40,6 +34,9 @@ class TestDictionaryGeneration:
         again = PilotDictionary.from_matrix(S.entries)
         assert np.allclose(S.entries, again.entries)
 
+    def test_single_column_has_zero_coherence(self):
+        assert PilotDictionary.from_matrix(np.ones((4, 1))).coherence == 0.0
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             gen_gaussian_dictionary(0, 4, derive_rng(0))
@@ -64,14 +61,15 @@ class TestMutualCoherence:
 
 class TestKhatriRao:
     def test_trivial_endpoints(self):
-        assert khatri_rao_coherence(0.0) == 0.0
-        assert khatri_rao_coherence(1.0) == 1.0
+        # orthonormal columns stay orthonormal, a repeated column stays repeated
+        assert mutual_coherence(khatri_rao_dictionary(np.eye(3))) == 0.0
+        assert mutual_coherence(khatri_rao_dictionary(np.eye(3)[:, [0, 0, 1]])) == pytest.approx(1.0)
 
     def test_squares_the_coherence_on_example(self):
         S = np.array([[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]])
         mu = mutual_coherence(S)
         lifted = khatri_rao_dictionary(S)
-        assert khatri_rao_coherence(mu) == pytest.approx(0.5, abs=1e-5)
+        assert mutual_coherence(lifted) == pytest.approx(0.5, abs=1e-5)
         assert mutual_coherence(lifted) == pytest.approx(mu**2, abs=1e-12)
 
     def test_matches_explicit_lift_exhaustively(self):
@@ -91,10 +89,6 @@ class TestKhatriRao:
             lhs = khatri_rao_dictionary(S) @ r
             rhs = (S.entries @ np.diag(r) @ S.entries.conj().T).ravel(order="F")
             assert np.linalg.norm(lhs - rhs) < 1e-10
-
-    def test_range_validation(self):
-        with pytest.raises(InvalidParameterError):
-            khatri_rao_coherence(1.5)
 
 
 class TestWelchBound:
@@ -125,45 +119,3 @@ class TestSupportLimit:
     def test_rejects_zero(self):
         with pytest.raises(InvalidParameterError):
             max_identifiable_support(0.0)
-
-
-class TestMinPilotLength:
-    def test_reference_values(self):
-        assert min_pilot_length(64, 10) == 15
-        assert min_pilot_length(64, 1) == 2
-
-    def test_never_exceeds_node_count(self):
-        for K in (2, 8, 64, 101):
-            for D in range(1, K + 1):
-                assert min_pilot_length(K, D) <= K
-
-    def test_strict_inequality_holds(self):
-        for K in (5, 16, 64):
-            for D in range(1, K + 1):
-                L = min_pilot_length(K, D)
-                assert L * (K + 2 * D - 2) > 2 * K * D - K
-                assert (L - 1) * (K + 2 * D - 2) <= 2 * K * D - K
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_preserves_entries(self):
-        S = gen_gaussian_dictionary(5, 7, derive_rng(4))
-        buf = io.StringIO()
-        save_csv(S, buf)
-        loaded = load_csv(io.StringIO(buf.getvalue()))
-        assert loaded.L == 5 and loaded.K == 7
-        assert np.max(np.abs(loaded.entries - S.entries)) < 1e-12
-        assert loaded.kind == "user-supplied"
-
-    def test_header_carries_dimensions(self):
-        S = gen_gaussian_dictionary(2, 3, derive_rng(5))
-        buf = io.StringIO()
-        save_csv(S, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "L,K"
-        assert lines[1] == "2,3"
-        assert len(lines) == 2 + 2  # header rows + L matrix rows
-
-    def test_malformed_header_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            load_csv(io.StringIO("bogus\n1,2\n"))
