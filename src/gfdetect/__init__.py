@@ -37,17 +37,14 @@ from .harness import (
     run_trial,
 )
 from .link import (
-    LinkResult,
-    ModulationScheme,
+    QPSK,
     channel_mse,
     demodulate,
     ls_channel_estimate,
     ls_data_decode,
-    qpsk,
     symbol_error_rate,
 )
 from .model import (
-    ChannelMatrix,
     NoiseSpec,
     Support,
     complex_normal,

@@ -3,7 +3,7 @@
 Example::
 
     gfdetect sweep --preset fig2 --trials 200 --out fig2.csv
-    gfdetect sweep --axis snr --values -10,-5,0,5,10 --D 10 --out fig3.csv
+    gfdetect sweep --sweep snr:-10,-5,0,5,10 --D 10 --out fig3.csv
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -18,7 +18,6 @@ from .harness import (
     CONFIG_KEYS,
     ExperimentConfig,
     PRESETS,
-    SWEEP_AXES,
     apply_settings,
     emit_csv,
     parse_config_file,
@@ -31,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep and emit CSV")
     sweep.add_argument("--preset", choices=sorted(PRESETS), help="named experiment setup")
     sweep.add_argument("--config", help="path to a flat key=value configuration file")
-    sweep.add_argument("--axis", choices=SWEEP_AXES[1:], help="sweep axis")
-    sweep.add_argument("--values", help="comma-separated axis values")
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
     group = sweep.add_argument_group("configuration keys (override preset and config file)")
     for key in CONFIG_KEYS:
@@ -51,10 +48,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, f"opt_{key}")
         if value is not None:
             overrides[key] = value
-    if args.axis or args.values:
-        if not (args.axis and args.values):
-            raise ConfigError("--axis and --values must be given together")
-        overrides["sweep"] = f"{args.axis}:{args.values}"
     config = apply_settings(config, overrides)
     config.validate()
     return config

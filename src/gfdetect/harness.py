@@ -29,15 +29,12 @@ from .errors import (
     SingularSystemError,
 )
 from .link import (
-    LinkResult,
-    ModulationScheme,
     channel_mse,
     demodulate,
     despread_symbols,
     draw_symbols,
     ls_channel_estimate,
     ls_data_decode,
-    qpsk,
     spread_symbols,
     symbol_error_rate,
 )
@@ -101,9 +98,9 @@ class ExperimentConfig:
     channel: str = "gaussian"
     paths: int = 200
     lam: float | None = None
-    max_iterations: int = field(default=2000, metadata={"key": "max_iters"})
-    objective_tolerance: float = field(default=1e-10, metadata={"key": "tol"})
-    threshold_ratio: float = field(default=0.1, metadata={"key": "tau"})
+    max_iterations: int = field(default=LassoOptions.max_iterations, metadata={"key": "max_iters"})
+    objective_tolerance: float = field(default=LassoOptions.objective_tolerance, metadata={"key": "tol"})
+    threshold_ratio: float = field(default=LassoOptions.threshold_ratio, metadata={"key": "tau"})
     use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
     spread_length: int = field(default=0, metadata={"key": "spread"})
     redraw_pilots: bool = True
@@ -273,61 +270,51 @@ def _run_detector(
     raise ConfigError(f"unknown detector {name!r}")
 
 
-def _link_metrics(
+def _score(
     name: str,
-    support_true: Support,
+    support: Support,
     support_hat: Support,
-    H_entries: np.ndarray,
+    runtime_ms: float,
+    H: np.ndarray,
     pilots: PilotDictionary,
     Y_p: np.ndarray,
     Y_d: np.ndarray | None,
     true_symbols: np.ndarray,
-    scheme: ModulationScheme,
     codes: np.ndarray | None,
-    config: ExperimentConfig,
-) -> LinkResult:
+) -> TrialMetrics:
     """Estimate/decode for one detected support and score it against truth.
 
-    Channel MSE runs over the true support (a missed node contributes its
-    full normalized power), SER over the union of true and detected
-    supports. A singular estimation or decoding step degrades to all-zero
-    decisions rather than aborting the trial.
+    The ``M x K`` estimate keeps zero columns for nodes that were not
+    estimated, so channel MSE over the true support charges a missed node its
+    full normalized power; SER runs over the union of true and detected
+    supports. A singular estimation or decoding step leaves zero estimates
+    and zero decisions rather than aborting the trial.
     """
-    M = H_entries.shape[0]
     detected = list(support_hat.indices)
-    if name == "paci":
-        H_hat = H_entries[:, detected]
-    else:
-        try:
-            H_hat = ls_channel_estimate(Y_p, pilots.entries[:, detected])
-        except SingularSystemError:
-            H_hat = None
-
-    true_active = list(support_true.indices)
-    if not true_active or name == "paci":
-        mse = 0.0
-    elif H_hat is None:
-        mse = float(len(true_active))
-    else:
-        aligned = np.zeros((M, len(true_active)), dtype=complex)
-        position = {k: j for j, k in enumerate(detected)}
-        for col, k in enumerate(true_active):
-            if k in position:
-                aligned[:, col] = H_hat[:, position[k]]
-        mse = channel_mse(H_entries[:, true_active], aligned)
-
+    H_hat = np.zeros_like(H)
     est_symbols = np.zeros_like(true_symbols)
-    if Y_d is not None and H_hat is not None and detected:
-        try:
-            soft = ls_data_decode(Y_d, H_hat)
-        except SingularSystemError:
-            soft = None
-        if soft is not None:
+    try:
+        if name == "paci":
+            H_hat[:, detected] = H[:, detected]
+        else:
+            H_hat[:, detected] = ls_channel_estimate(Y_p, pilots.entries[:, detected])
+        if Y_d is not None and detected:
+            soft = ls_data_decode(Y_d, H_hat[:, detected])
             if codes is not None:
                 soft = despread_symbols(soft, codes[detected])
-            est_symbols[detected] = scheme.points[demodulate(soft, scheme)]
-    ser = symbol_error_rate(true_symbols, est_symbols, support_true, support_hat)
-    return LinkResult(ser=ser, channel_mse=mse)
+            est_symbols[detected] = demodulate(soft)
+    except SingularSystemError:
+        pass
+    true_active = list(support.indices)
+    # channel_mse's column sums run in memory order; a C-ordered estimate
+    # block fixes that order, and with it the last digit of every score
+    H_hat_true = np.ascontiguousarray(H_hat[:, true_active])
+    return TrialMetrics(
+        success=support_hat.indices == support.indices,
+        ser=symbol_error_rate(true_symbols, est_symbols, support, support_hat),
+        channel_mse=channel_mse(H[:, true_active], H_hat_true),
+        runtime_ms=runtime_ms,
+    )
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -349,34 +336,27 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     noise = NoiseSpec.from_snr_db(config.snr_db)
     Y_p = received_pilot(H, pilots, noise, rng)
 
-    scheme = qpsk()
+    active = list(support.indices)
     true_symbols = np.zeros((config.K, config.N), dtype=complex)
     codes = None
     Y_d = None
     if config.N > 0:
-        _, values = draw_symbols(scheme, (support.size, config.N), rng)
-        true_symbols[list(support.indices)] = values
-        tx = values
+        symbols = draw_symbols((support.size, config.N), rng)
+        true_symbols[active] = symbols
+        tx = symbols
         if config.spread_length > 1:
             codes = complex_normal(rng, (config.K, config.spread_length))
             codes /= np.linalg.norm(codes, axis=1, keepdims=True)
-            tx = spread_symbols(values, codes[list(support.indices)])
-        Y_d = received_data(H.active_entries(), tx, noise, rng)
+            tx = spread_symbols(symbols, codes[active])
+        Y_d = received_data(H[:, active], tx, noise, rng)
 
     metrics: dict[str, TrialMetrics] = {}
     for name in config.detector_list():
         start = time.perf_counter()
         support_hat = _run_detector(name, Y_p, pilots, noise.variance, support, config)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        link = _link_metrics(
-            name, support, support_hat, H.entries, pilots, Y_p, Y_d,
-            true_symbols, scheme, codes, config,
-        )
-        metrics[name] = TrialMetrics(
-            success=support_hat.indices == support.indices,
-            ser=link.ser,
-            channel_mse=link.channel_mse,
-            runtime_ms=runtime_ms,
+        metrics[name] = _score(
+            name, support, support_hat, runtime_ms, H, pilots, Y_p, Y_d, true_symbols, codes,
         )
     return TrialRecord(metrics)
 
@@ -439,19 +419,25 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
 
 
 def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
-    """Run all sweep points and aggregate per-detector metric rows."""
+    """Run all sweep points and aggregate per-detector metric rows.
+
+    With ``workers > 1`` one process pool runs the trials of every point.
+    """
     config.validate()
+    points = _sweep_points(config)
+    tasks = [(pc, i) for _, pc in points for i in range(config.trials)]
+    if config.workers > 1:
+        chunksize = max(1, len(tasks) // (8 * config.workers))
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            records = list(pool.map(_trial_task, tasks, chunksize=chunksize))
+    else:
+        records = [run_trial(pc, i) for pc, i in tasks]
     rows: list[MetricsRow] = []
-    for value, pc in _sweep_points(config):
-        if pc.workers > 1:
-            tasks = [(pc, i) for i in range(pc.trials)]
-            with ProcessPoolExecutor(max_workers=pc.workers) as pool:
-                records = list(pool.map(_trial_task, tasks, chunksize=max(1, pc.trials // (8 * pc.workers))))
-        else:
-            records = [run_trial(pc, i) for i in range(pc.trials)]
+    for p, (value, pc) in enumerate(points):
+        point_records = records[p * config.trials:(p + 1) * config.trials]
         bound = _point_bound(pc) if pc.compute_bound else None
         for name in pc.detector_list():
-            per = [rec.metrics[name] for rec in records]
+            per = [rec.metrics[name] for rec in point_records]
             rows.append(
                 MetricsRow(
                     axis=value,

@@ -11,7 +11,6 @@ and false-alarm nodes show up as symbol errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +18,7 @@ from .errors import InvalidParameterError, SingularSystemError
 from .model import Support
 
 __all__ = [
-    "ModulationScheme",
-    "LinkResult",
-    "qpsk",
+    "QPSK",
     "draw_symbols",
     "ls_channel_estimate",
     "ls_data_decode",
@@ -34,45 +31,14 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 
-
-@dataclass(frozen=True)
-class ModulationScheme:
-    """Finite complex constellation with unit average symbol energy."""
-
-    name: str
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=complex).ravel()
-        if points.size < 1:
-            raise InvalidParameterError("alphabet must be nonempty")
-        energy = float(np.mean(np.abs(points) ** 2))
-        if not math.isclose(energy, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-            raise InvalidParameterError(f"mean symbol energy must be 1, got {energy}")
-        object.__setattr__(self, "points", points)
-
-    @property
-    def order(self) -> int:
-        return self.points.size
+# unit-energy QPSK constellation; its order sets demodulate's tie-break
+QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2)
+QPSK.flags.writeable = False
 
 
-def qpsk() -> ModulationScheme:
-    pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2)
-    return ModulationScheme("qpsk", pts)
-
-
-@dataclass(frozen=True)
-class LinkResult:
-    """Scores of the estimation/decoding stage for one detected support."""
-
-    ser: float
-    channel_mse: float
-
-
-def draw_symbols(scheme: ModulationScheme, shape, rng: np.random.Generator):
-    """Uniform random constellation symbols; returns (indices, values)."""
-    idx = rng.integers(0, scheme.order, size=shape)
-    return idx, scheme.points[idx]
+def draw_symbols(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random QPSK symbols of the given shape."""
+    return QPSK[rng.integers(0, QPSK.size, size=shape)]
 
 
 def _check_gram(gram: np.ndarray, what: str) -> None:
@@ -132,11 +98,10 @@ def ls_data_decode(Y_d: np.ndarray, H_hat: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, H.conj().T @ Y)
 
 
-def demodulate(D_soft: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Nearest-point decision per entry; ties go to the lowest alphabet index."""
+def demodulate(D_soft: np.ndarray) -> np.ndarray:
+    """Nearest QPSK point per entry; ties go to the lowest index in ``QPSK``."""
     soft = np.asarray(D_soft, dtype=complex)
-    dist = np.abs(soft[..., None] - scheme.points)
-    return np.argmin(dist, axis=-1)
+    return QPSK[np.argmin(np.abs(soft[..., None] - QPSK), axis=-1)]
 
 
 def spread_symbols(symbols: np.ndarray, codes: np.ndarray) -> np.ndarray:

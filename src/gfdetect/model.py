@@ -16,7 +16,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "Support",
-    "ChannelMatrix",
     "NoiseSpec",
     "derive_rng",
     "complex_normal",
@@ -76,31 +75,6 @@ class Support:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Flat-fading uplink channel: ``M`` antennas by ``K`` nodes.
-
-    Columns outside the support are exactly zero.
-    """
-
-    entries: np.ndarray
-    support: Support
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[1] != self.support.K:
-            raise InvalidParameterError(
-                f"channel must be 2-D with {self.support.K} columns, got {entries.shape}"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise InvalidParameterError("channel entries must be finite")
-        object.__setattr__(self, "entries", entries)
-
-    def active_entries(self) -> np.ndarray:
-        """The ``M x D`` block of active columns, in support order."""
-        return self.entries[:, list(self.support.indices)]
 
 
 @dataclass(frozen=True)
@@ -165,8 +139,8 @@ def steering_vector(M: int, theta) -> np.ndarray:
     return np.exp(-2j * np.pi * antenna * phase)
 
 
-def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Generator) -> ChannelMatrix:
-    """Geometric multipath channel on a uniform linear array.
+def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Generator) -> np.ndarray:
+    """Geometric multipath ``M x K`` channel on a uniform linear array.
 
     Each active column superposes ``paths`` planar wavefronts with standard
     complex Gaussian gains and arrival angles uniform on [-pi/2, pi/2]; the
@@ -182,7 +156,7 @@ def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Genera
         gains = complex_normal(rng, paths)
         thetas = rng.uniform(-np.pi / 2, np.pi / 2, paths)
         H[:, k] = steering_vector(M, thetas) @ gains / math.sqrt(paths)
-    return ChannelMatrix(H, support)
+    return H
 
 
 def draw_channel_gaussian(
@@ -190,11 +164,12 @@ def draw_channel_gaussian(
     support: Support,
     rng: np.random.Generator,
     variances=None,
-) -> ChannelMatrix:
-    """Favorable-propagation channel: i.i.d. complex Gaussian active columns.
+) -> np.ndarray:
+    """Favorable-propagation ``M x K`` channel: i.i.d. complex Gaussian active columns.
 
-    ``variances`` may be a scalar or one value per active node (default 1);
-    entries are uncorrelated across antennas and across nodes.
+    Columns outside the support are exactly zero. ``variances`` may be a
+    scalar or one value per active node (default 1); entries are uncorrelated
+    across antennas and across nodes.
     """
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
@@ -206,25 +181,20 @@ def draw_channel_gaussian(
     if support.size:
         block = complex_normal(rng, (M, support.size)) * np.sqrt(var)[None, :]
         H[:, list(support.indices)] = block
-    return ChannelMatrix(H, support)
+    return H
 
 
-def _as_matrix(obj) -> np.ndarray:
-    entries = getattr(obj, "entries", obj)
-    return np.asarray(entries)
-
-
-def received_pilot(H, pilots, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+def received_pilot(H: np.ndarray, pilots, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """Received training-phase signal ``H @ pilots^H`` plus white noise.
 
-    ``H`` is an ``M x K`` channel (or :class:`ChannelMatrix`), ``pilots`` an
-    ``L x K`` dictionary (or :class:`~gfdetect.pilots.PilotDictionary`).
+    ``H`` is an ``M x K`` channel and ``pilots`` an ``L x K``
+    :class:`~gfdetect.pilots.PilotDictionary`.
     Returns the ``M x L`` observation. A zero noise variance yields the exact
     matrix product.
     """
-    Hm = _as_matrix(H)
-    S = _as_matrix(pilots)
-    if Hm.ndim != 2 or S.ndim != 2 or Hm.shape[1] != S.shape[1]:
+    Hm = np.asarray(H)
+    S = pilots.entries
+    if Hm.ndim != 2 or Hm.shape[1] != S.shape[1]:
         raise InvalidParameterError(
             f"channel ({Hm.shape}) and pilots ({S.shape}) must share a node count"
         )

@@ -104,10 +104,8 @@ def test_field_names_and_internal_fields_are_not_keys(name):
 def test_cli_offers_exactly_one_flag_per_key():
     sweep = _sweep_subparser()
     options = {s for action in sweep._actions for s in action.option_strings}
-    fixed = {"-h", "--help", "--preset", "--config", "--axis", "--values", "--out"}
+    fixed = {"-h", "--help", "--preset", "--config", "--out"}
     assert options == set(FLAGS) | fixed
-    axis = next(a for a in sweep._actions if a.dest == "axis")
-    assert tuple(axis.choices) == ("sparsity", "snr", "antennas")
 
 
 @pytest.mark.parametrize("flag", sorted(FLAGS))
@@ -128,6 +126,16 @@ def test_cli_flag_rejects_malformed_value(flag, capsys):
     bad = SWEEP[2] if key == "sweep" else KEYS[key][3]
     assert cli.main(["sweep", flag, bad]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse_and_validate():
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block, "README has no CLI block"
+    commands = [line.split()[1:] for line in block.group(1).splitlines() if line.startswith("gfdetect sweep")]
+    commands = [argv for argv in commands if "--config" not in argv]
+    assert len(commands) >= 3
+    for argv in commands:
+        cli._build_config(cli.build_parser().parse_args(argv))  # ConfigError if invalid; runs no trial
 
 
 def test_readme_lists_every_key():

@@ -241,7 +241,7 @@ class TestDetectActivity:
                 Y = received_pilot(H, S, NoiseSpec(0.5), rng)
                 A, x = build_smv(sample_covariance(Y), S, 0.5)
                 r_exact = np.zeros(16)
-                cols = H.entries[:, list(sup.indices)]
+                cols = H[:, list(sup.indices)]
                 r_exact[list(sup.indices)] = np.mean(np.abs(cols) ** 2, axis=0)
                 out.append(np.linalg.norm(x - A @ r_exact))
             return np.mean(out)

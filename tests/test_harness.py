@@ -171,6 +171,14 @@ class TestRunTrial:
         assert rec.metrics["pai"].success and rec.metrics["paci"].success
         assert rec.metrics["paci"].channel_mse == 0.0
 
+    def test_singular_estimate_scores_every_true_node_missed(self):
+        # three active nodes cannot be estimated from pilots of length two
+        cfg = quick_config(L=2, D=3, detector="cov-lasso,pai,paci")
+        rec = run_trial(cfg, 0)
+        assert rec.metrics["cov-lasso"].channel_mse == 3.0
+        assert rec.metrics["pai"].channel_mse == 3.0
+        assert rec.metrics["paci"].channel_mse == 0.0
+
     def test_shared_pilot_dictionary_mode(self):
         cfg = quick_config(redraw_pilots=False)
         a, b = run_trial(cfg, 0), run_trial(cfg, 1)
@@ -192,13 +200,24 @@ class TestRunSweep:
         ]
 
     def test_worker_pool_matches_sequential(self):
-        cfg = quick_config(sweep_axis="snr", sweep_values=(0.0,), trials=6)
+        cfg = quick_config(sweep_axis="snr", sweep_values=(0.0, 10.0), trials=6, detector="cov-lasso,msbl")
         seq = run_sweep(cfg)
         par = run_sweep(dataclasses.replace(cfg, workers=3))
-        for a, b in zip(seq, par):
-            assert a.success_rate == b.success_rate
-            assert a.ser == b.ser
-            assert a.channel_mse == b.channel_mse
+        assert len(seq) == 4
+        assert [dataclasses.replace(r, runtime_ms=0.0) for r in seq] == [
+            dataclasses.replace(r, runtime_ms=0.0) for r in par
+        ]
+
+    def test_each_row_aggregates_its_own_points_trials(self):
+        cfg = quick_config(sweep_axis="snr", sweep_values=(-5.0, 10.0), trials=4)
+        rows = run_sweep(cfg)
+        for stream, (value, row) in enumerate(zip(cfg.sweep_values, rows)):
+            point = dataclasses.replace(cfg, sweep_axis="none", sweep_values=(), snr_db=value, stream=stream)
+            per = [run_trial(point, i).metrics["cov-lasso"] for i in range(cfg.trials)]
+            assert row.axis == value
+            assert row.success_rate == np.mean([m.success for m in per])
+            assert row.ser == np.mean([m.ser for m in per])
+            assert row.channel_mse == np.mean([m.channel_mse for m in per])
 
     def test_bound_column_present_when_enabled(self):
         # seed chosen so the shared dictionary's coherence admits D=2
@@ -263,11 +282,20 @@ class TestCli:
     def test_sweep_to_file(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main([
-            "sweep", "--axis", "snr", "--values", "0", "--trials", "3",
+            "sweep", "--sweep", "snr:0", "--trials", "3",
             "--D", "2", "--M", "32", "--N", "4", "--seed", "9", "--out", str(out),
         ])
         assert code == 0
         assert out.read_text().startswith("axis,")
+
+    def test_sweep_flag_gives_one_row_group_per_value(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        code = main([
+            "sweep", "--sweep", "snr:0,10", "--trials", "1", "--D", "1", "--M", "8", "--N", "0",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "10"]
 
     def test_preset_flag(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -284,9 +312,9 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--snr", "nan"],
         ["--tol", "nan"],
-        ["--axis", "sparsity", "--values", "2.5"],
-        ["--axis", "antennas", "--values", "0"],
-        ["--axis", "snr", "--values", "nan"],
+        ["--sweep", "sparsity:2.5"],
+        ["--sweep", "antennas:0"],
+        ["--sweep", "snr:nan"],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
         assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2
@@ -295,7 +323,7 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = main([
-            "sweep", "--axis", "snr", "--values", "0", "--trials", "1",
+            "sweep", "--sweep", "snr:0", "--trials", "1",
             "--D", "1", "--M", "8", "--N", "0", "--out", str(missing_dir),
         ])
         assert code == 3
@@ -309,7 +337,7 @@ class TestCli:
 
     def test_console_entry_point(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "gfdetect", "sweep", "--axis", "snr", "--values", "0",
+            [sys.executable, "-m", "gfdetect", "sweep", "--sweep", "snr:0",
              "--trials", "1", "--D", "1", "--M", "8", "--N", "0"],
             capture_output=True, text=True, timeout=300,
         )

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfdetect.errors import InvalidParameterError, SingularSystemError
 from gfdetect.link import (
+    QPSK,
     channel_mse,
     demodulate,
     despread_symbols,
     draw_symbols,
     ls_channel_estimate,
     ls_data_decode,
-    qpsk,
     spread_symbols,
     symbol_error_rate,
 )
@@ -91,30 +93,43 @@ class TestDataDecode:
 
 class TestDemodulate:
     def test_exact_points_fixed(self):
-        scheme = qpsk()
-        idx = demodulate(scheme.points.reshape(2, 2), scheme)
-        assert idx.tolist() == [[0, 1], [2, 3]]
+        assert np.array_equal(demodulate(QPSK.reshape(2, 2)), QPSK.reshape(2, 2))
 
     def test_small_perturbation_within_decision_region(self):
-        scheme = qpsk()
-        point = scheme.points[2]
-        soft = np.array([[point + 0.1 - 0.05j]])
-        assert demodulate(soft, scheme)[0, 0] == 2
+        soft = np.array([[QPSK[2] + 0.1 - 0.05j]])
+        assert demodulate(soft)[0, 0] == QPSK[2]
 
     def test_equidistant_tie_takes_lowest_index(self):
-        scheme = qpsk()
         # purely real input is equidistant between indices 0 and 1
-        assert demodulate(np.array([[0.5 + 0j]]), scheme)[0, 0] == 0
+        assert demodulate(np.array([[0.5 + 0j]]))[0, 0] == QPSK[0]
 
     def test_qpsk_unit_energy(self):
-        assert np.allclose(np.abs(qpsk().points), 1.0)
+        assert np.allclose(np.abs(QPSK), 1.0)
+
+    @given(
+        re=st.floats(-4, 4, allow_nan=False),
+        im=st.floats(-4, 4, allow_nan=False),
+        axis_tie=st.sampled_from([None, "re", "im", "both"]),
+    )
+    def test_decides_nearest_point_lowest_index_on_ties(self, re, im, axis_tie):
+        # snapping a coordinate to 0 puts the input on a decision boundary
+        z = complex(0.0 if axis_tie in ("re", "both") else re, 0.0 if axis_tie in ("im", "both") else im)
+        index = QPSK.tolist().index(demodulate(np.array([z]))[0])
+        dist = np.abs(z - QPSK)
+        assert dist[index] == dist.min()
+        assert np.all(dist[:index] > dist.min())
+
+
+class TestDrawSymbols:
+    def test_indexes_qpsk_with_the_same_stream(self):
+        expected = QPSK[derive_rng(13, 31).integers(0, 4, (3, 7))]
+        assert np.array_equal(draw_symbols((3, 7), derive_rng(13, 31)), expected)
 
 
 class TestSpreading:
     def test_round_trip(self):
         rng = derive_rng(7, 31)
-        scheme = qpsk()
-        _, symbols = draw_symbols(scheme, (3, 5), rng)
+        symbols = draw_symbols((3, 5), rng)
         codes = complex_normal(rng, (3, 4))
         codes /= np.linalg.norm(codes, axis=1, keepdims=True)
         spread = spread_symbols(symbols, codes)
@@ -151,19 +166,17 @@ class TestSymbolErrorRate:
         return np.zeros((K, N), dtype=complex)
 
     def test_perfect_decoding_zero(self):
-        scheme = qpsk()
         true = self._grid(8, 5)
         sup = Support((1, 4), 8)
-        true[[1, 4]] = scheme.points[:5] if False else scheme.points[np.arange(5) % 4]
+        true[[1, 4]] = QPSK[np.arange(5) % 4]
         est = true.copy()
         assert symbol_error_rate(true, est, sup, sup) == 0.0
 
     def test_missed_node_counts_full_row(self):
-        scheme = qpsk()
         N, D = 40, 6
         true = self._grid(16, N)
         sup_true = Support(tuple(range(D)), 16)
-        true[:D] = scheme.points[0]
+        true[:D] = QPSK[0]
         est = true.copy()
         est[3] = 0.0  # node 3 missed entirely
         sup_hat = Support((0, 1, 2, 4, 5), 16)
@@ -171,22 +184,20 @@ class TestSymbolErrorRate:
         assert ser == pytest.approx(40 / (6 * 40))
 
     def test_false_alarm_counts_nonzero_decisions(self):
-        scheme = qpsk()
         true = self._grid(8, 4)
         sup_true = Support((0,), 8)
-        true[0] = scheme.points[1]
+        true[0] = QPSK[1]
         est = true.copy()
-        est[5] = scheme.points[2]  # false alarm decides nonzero everywhere
+        est[5] = QPSK[2]  # false alarm decides nonzero everywhere
         ser = symbol_error_rate(true, est, sup_true, Support((0, 5), 8))
         assert ser == pytest.approx(4 / 8)
 
     def test_all_wrong_is_one(self):
-        scheme = qpsk()
         true = self._grid(4, 3)
         sup = Support((0, 1), 4)
-        true[[0, 1]] = scheme.points[0]
+        true[[0, 1]] = QPSK[0]
         est = true.copy()
-        est[[0, 1]] = scheme.points[3]
+        est[[0, 1]] = QPSK[3]
         assert symbol_error_rate(true, est, sup, sup) == 1.0
 
     def test_empty_union_zero(self):
@@ -196,48 +207,44 @@ class TestSymbolErrorRate:
 class TestEndToEnd:
     def test_noiseless_perfect_support_zero_errors(self):
         rng = derive_rng(11, 31)
-        scheme = qpsk()
         S = gen_gaussian_dictionary(12, 24, rng)
         sup = Support((2, 7, 20), 24)
+        active = list(sup.indices)
         H = draw_channel_gaussian(16, sup, rng)
         Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
-        _, symbols = draw_symbols(scheme, (3, 10), rng)
-        Y_d = received_data(H.active_entries(), symbols, NoiseSpec(0.0), rng)
+        symbols = draw_symbols((3, 10), rng)
+        Y_d = received_data(H[:, active], symbols, NoiseSpec(0.0), rng)
 
-        H_hat = ls_channel_estimate(Y_p, S.entries[:, list(sup.indices)])
-        assert channel_mse(H.active_entries(), H_hat) < 1e-16
-        soft = ls_data_decode(Y_d, H_hat)
-        decided = scheme.points[demodulate(soft, scheme)]
+        H_hat = ls_channel_estimate(Y_p, S.entries[:, active])
+        assert channel_mse(H[:, active], H_hat) < 1e-16
+        decided = demodulate(ls_data_decode(Y_d, H_hat))
         true = np.zeros((24, 10), complex)
         est = np.zeros((24, 10), complex)
-        true[list(sup.indices)] = symbols
-        est[list(sup.indices)] = decided
+        true[active] = symbols
+        est[active] = decided
         assert symbol_error_rate(true, est, sup, sup) == 0.0
 
     def test_genie_channel_lower_bounds_estimated(self):
         # with the true channel available, decoding can only get better
         rng = derive_rng(12, 31)
-        scheme = qpsk()
         noise = NoiseSpec.from_snr_db(0.0)
         worse = better = 0.0
         trials = 500
         for _ in range(trials):
             S = gen_gaussian_dictionary(8, 16, rng)
             sup = Support((1, 9), 16)
+            active = list(sup.indices)
             H = draw_channel_gaussian(24, sup, rng)
             Y_p = received_pilot(H, S, noise, rng)
-            _, symbols = draw_symbols(scheme, (2, 4), rng)
-            Y_d = received_data(H.active_entries(), symbols, noise, rng)
+            symbols = draw_symbols((2, 4), rng)
+            Y_d = received_data(H[:, active], symbols, noise, rng)
             true = np.zeros((16, 4), complex)
-            true[list(sup.indices)] = symbols
+            true[active] = symbols
 
             for genie in (True, False):
-                H_use = H.active_entries() if genie else ls_channel_estimate(
-                    Y_p, S.entries[:, list(sup.indices)]
-                )
-                decided = scheme.points[demodulate(ls_data_decode(Y_d, H_use), scheme)]
+                H_use = H[:, active] if genie else ls_channel_estimate(Y_p, S.entries[:, active])
                 est = np.zeros((16, 4), complex)
-                est[list(sup.indices)] = decided
+                est[active] = demodulate(ls_data_decode(Y_d, H_use))
                 ser = symbol_error_rate(true, est, sup, sup)
                 if genie:
                     better += ser

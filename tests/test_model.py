@@ -3,7 +3,6 @@ import pytest
 
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
-    ChannelMatrix,
     NoiseSpec,
     Support,
     complex_normal,
@@ -15,6 +14,7 @@ from gfdetect.model import (
     received_pilot,
     steering_vector,
 )
+from gfdetect.pilots import PilotDictionary
 
 
 class TestSupport:
@@ -100,17 +100,17 @@ class TestSteeringVector:
 class TestUlaChannel:
     def test_empty_support_gives_zero_matrix(self):
         H = draw_channel_ula(8, 4, Support((), 5), derive_rng(0))
-        assert not H.entries.any()
+        assert not H.any()
 
     def test_single_path_constant_modulus(self):
         H = draw_channel_ula(16, 1, Support((2,), 4), derive_rng(4))
-        col = H.entries[:, 2]
+        col = H[:, 2]
         assert np.allclose(np.abs(col), np.abs(col[0]))
 
     def test_inactive_columns_zero(self):
         H = draw_channel_ula(8, 200, Support((1, 3), 6), derive_rng(5))
         inactive = [k for k in range(6) if k not in (1, 3)]
-        assert not H.entries[:, inactive].any()
+        assert not H[:, inactive].any()
 
     def test_unit_average_power(self):
         # 1/sqrt(P) normalization keeps per-entry variance at one
@@ -120,7 +120,7 @@ class TestUlaChannel:
         draws = 2000
         for _ in range(draws):
             H = draw_channel_ula(64, 200, support, rng)
-            total += np.mean(np.abs(H.entries[:, 0]) ** 2)
+            total += np.mean(np.abs(H[:, 0]) ** 2)
         assert abs(total / draws - 1.0) < 0.05
 
     def test_rejects_bad_paths(self):
@@ -131,23 +131,23 @@ class TestUlaChannel:
 class TestGaussianChannel:
     def test_empty_support_zero(self):
         H = draw_channel_gaussian(8, Support((), 5), derive_rng(0))
-        assert not H.entries.any()
+        assert not H.any()
 
     def test_sample_variance(self):
         H = draw_channel_gaussian(100_000, Support((0,), 1), derive_rng(7))
-        v = np.mean(np.abs(H.entries[:, 0]) ** 2)
+        v = np.mean(np.abs(H[:, 0]) ** 2)
         assert 0.99 < v < 1.01
 
     def test_favorable_propagation_cross_correlation(self):
         H = draw_channel_gaussian(100_000, Support((0, 1), 2), derive_rng(8))
-        a, b = H.entries[:, 0], H.entries[:, 1]
+        a, b = H[:, 0], H[:, 1]
         rho = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(rho) < 0.02
 
     def test_per_node_variances(self):
         H = draw_channel_gaussian(50_000, Support((0, 2), 3), derive_rng(9), variances=[0.5, 2.0])
-        assert abs(np.mean(np.abs(H.entries[:, 0]) ** 2) - 0.5) < 0.02
-        assert abs(np.mean(np.abs(H.entries[:, 2]) ** 2) - 2.0) < 0.08
+        assert abs(np.mean(np.abs(H[:, 0]) ** 2) - 0.5) < 0.02
+        assert abs(np.mean(np.abs(H[:, 2]) ** 2) - 2.0) < 0.08
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(InvalidParameterError):
@@ -157,7 +157,7 @@ class TestGaussianChannel:
 class TestReceivedSignals:
     def test_zero_channel_zero_noise(self):
         H = np.zeros((3, 4), dtype=complex)
-        S = np.ones((2, 4), dtype=complex)
+        S = PilotDictionary(np.ones((2, 4), dtype=complex))
         Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
         assert not Y.any()
 
@@ -165,7 +165,7 @@ class TestReceivedSignals:
         rng = derive_rng(10)
         H = complex_normal(rng, (5, 6))
         S = complex_normal(rng, (4, 6))
-        Y = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y = received_pilot(H, PilotDictionary(S), NoiseSpec(0.0), rng)
         assert np.max(np.abs(Y - H @ S.conj().T)) < 1e-12
 
     def test_hand_multiplication_oracle(self):
@@ -178,12 +178,12 @@ class TestReceivedSignals:
                 [H[1, 0] * 1 + H[1, 1] * (-1j), H[1, 0] * (-2j) + H[1, 1] * 1],
             ]
         )
-        Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
+        Y = received_pilot(H, PilotDictionary(S), NoiseSpec(0.0), derive_rng(0))
         assert np.max(np.abs(Y - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            received_pilot(np.zeros((3, 4)), np.zeros((2, 5)), NoiseSpec(0.0), derive_rng(0))
+            received_pilot(np.zeros((3, 4)), PilotDictionary(np.zeros((2, 5))), NoiseSpec(0.0), derive_rng(0))
 
     def test_received_data_pure_noise_variance(self):
         rng = derive_rng(11)
@@ -219,7 +219,8 @@ class TestDeterminism:
             rng = derive_rng(seed, 4)
             s = draw_support(16, rng, size=3)
             H = draw_channel_gaussian(8, s, rng)
-            return received_pilot(H, complex_normal(derive_rng(seed, 5), (4, 16)), NoiseSpec(0.5), rng)
+            S = PilotDictionary(complex_normal(derive_rng(seed, 5), (4, 16)))
+            return received_pilot(H, S, NoiseSpec(0.5), rng)
 
         a, b = draw(123), draw(123)
         assert np.array_equal(a, b)
@@ -229,14 +230,3 @@ class TestDeterminism:
         b = derive_rng(1, 1).standard_normal(4)
         assert not np.allclose(a, b)
 
-
-class TestChannelMatrix:
-    def test_active_entries_ordering(self):
-        rng = derive_rng(13)
-        sup = Support((1, 4), 6)
-        H = draw_channel_gaussian(3, sup, rng)
-        assert np.array_equal(H.active_entries(), H.entries[:, [1, 4]])
-
-    def test_shape_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ChannelMatrix(np.zeros((3, 5)), Support((0,), 4))
