@@ -57,7 +57,6 @@ from .model import (
     steering_vector,
 )
 from .pilots import (
-    PilotDictionary,
     gen_gaussian_dictionary,
     khatri_rao_dictionary,
     max_identifiable_support,

@@ -26,7 +26,6 @@ import numpy as np
 from .detect import LassoOptions, extract_support
 from .errors import InvalidParameterError
 from .model import Support
-from .pilots import PilotDictionary
 
 __all__ = ["MmvProblem", "msbl", "bomp", "mfocuss"]
 
@@ -46,26 +45,28 @@ _FOCUSS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """Row-sparse recovery instance: ``Y = S X + W`` with ``Y`` of size ``L x M``."""
+    """Row-sparse recovery instance ``Y = S X + W``: ``Y`` is ``L x M``, ``S`` the ``L x K`` pilot code."""
 
     Y: np.ndarray
-    pilots: PilotDictionary
+    S: np.ndarray
     sigma_w2: float
 
     def __post_init__(self) -> None:
         Y = np.asarray(self.Y, dtype=complex)
-        if Y.ndim != 2 or Y.shape[0] != self.pilots.L:
+        S = np.asarray(self.S)
+        if S.ndim != 2 or Y.ndim != 2 or Y.shape[0] != S.shape[0]:
             raise InvalidParameterError(
-                f"observation rows ({Y.shape}) must match pilot length {self.pilots.L}"
+                f"observation rows ({Y.shape}) must match the pilot length of {S.shape}"
             )
         if self.sigma_w2 < 0:
             raise InvalidParameterError(f"sigma_w2 must be >= 0, got {self.sigma_w2}")
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "S", S)
 
     @classmethod
-    def from_received_pilot(cls, Y_p: np.ndarray, pilots: PilotDictionary, sigma_w2: float) -> "MmvProblem":
+    def from_received_pilot(cls, Y_p: np.ndarray, S: np.ndarray, sigma_w2: float) -> "MmvProblem":
         """Transpose the ``M x L`` antenna-domain observation into MMV form."""
-        return cls(np.asarray(Y_p).conj().T, pilots, sigma_w2)
+        return cls(np.asarray(Y_p).conj().T, S, sigma_w2)
 
     @property
     def num_snapshots(self) -> int:
@@ -83,7 +84,7 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     support is the ``D_known`` largest hyperparameters, or all above
     ``0.4 * max(gamma)`` (the rule of :func:`~gfdetect.detect.extract_support`).
     """
-    S = problem.pilots.entries
+    S = problem.S
     Y = problem.Y
     L, K = S.shape
     M = problem.num_snapshots
@@ -117,12 +118,13 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     correlations factor into per-node residual correlations ``||s_k^H R||``,
     so no ``LM x KM`` matrix is ever materialized. Each round selects the
     highest-scoring node and refits all selected channels by least squares.
+    ``D = 0`` (nobody transmitted) gives the empty support.
     """
-    S = problem.pilots.entries
+    S = problem.S
     Y = problem.Y
     L, K = S.shape
-    if not 1 <= D <= K:
-        raise InvalidParameterError(f"D must be in [1, {K}], got {D}")
+    if not 0 <= D <= K:
+        raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
 
     residual = Y
     selected: list[int] = []
@@ -151,7 +153,7 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     above ``0.5`` times the largest (the rule of
     :func:`~gfdetect.detect.extract_support`).
     """
-    S = problem.pilots.entries
+    S = problem.S
     Y = problem.Y
     L = S.shape[0]
     lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))

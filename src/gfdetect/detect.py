@@ -85,15 +85,15 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
     return Y.conj().T @ Y / M
 
 
-def build_smv(phi_yy: np.ndarray, pilots, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
+def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorize the covariance into a single-measurement-vector problem.
 
-    Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker-lifted dictionary
-    and ``x = vec(phi_yy) - sigma_w2 * vec(I)``; the noise variance is
-    assumed known, so only its mean is removed.
+    Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker lift of the
+    ``L x K`` pilot code ``S`` and ``x = vec(phi_yy) - sigma_w2 * vec(I)``;
+    the noise variance is assumed known, so only its mean is removed.
     """
     phi = np.asarray(phi_yy)
-    S = np.asarray(getattr(pilots, "entries", pilots))
+    S = np.asarray(S)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise InvalidParameterError(f"covariance must be square, got {phi.shape}")
     if S.ndim != 2 or S.shape[0] != phi.shape[0]:
@@ -261,8 +261,8 @@ def extract_support(r_hat: np.ndarray, opts: LassoOptions) -> Support:
     return Support(tuple(idx), r.size)
 
 
-def detect_activity(Y_p: np.ndarray, pilots, sigma_w2: float, opts: LassoOptions) -> DetectionResult:
-    """Full covariance-domain detection on a received pilot block."""
+def detect_activity(Y_p: np.ndarray, S: np.ndarray, sigma_w2: float, opts: LassoOptions) -> DetectionResult:
+    """Full covariance-domain detection on a received pilot block and its ``L x K`` pilot code."""
     Y = np.asarray(Y_p)
-    A, x = build_smv(sample_covariance(Y), pilots, sigma_w2)
+    A, x = build_smv(sample_covariance(Y), S, sigma_w2)
     return nn_lasso(A, x, opts, snapshots=Y.shape[0])

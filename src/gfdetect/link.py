@@ -136,9 +136,13 @@ def despread_symbols(soft: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def channel_mse(H_true_active: np.ndarray, H_hat: np.ndarray) -> float:
-    """Sum over active nodes of the normalized squared column error."""
-    Ht = np.asarray(H_true_active)
-    He = np.asarray(H_hat)
+    """Sum over active nodes of the normalized squared column error.
+
+    Columns are summed in column-major memory whatever the arguments' layout,
+    so equal inputs give bit-identical results.
+    """
+    Ht = np.asfortranarray(H_true_active)
+    He = np.asfortranarray(H_hat)
     if Ht.shape != He.shape:
         raise InvalidParameterError(f"shape mismatch: {Ht.shape} vs {He.shape}")
     true_power = np.sum(np.abs(Ht) ** 2, axis=0)

@@ -184,17 +184,16 @@ def draw_channel_gaussian(
     return H
 
 
-def received_pilot(H: np.ndarray, pilots, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """Received training-phase signal ``H @ pilots^H`` plus white noise.
+def received_pilot(H: np.ndarray, S: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+    """Received training-phase signal ``H @ S^H`` plus white noise.
 
-    ``H`` is an ``M x K`` channel and ``pilots`` an ``L x K``
-    :class:`~gfdetect.pilots.PilotDictionary`.
+    ``H`` is an ``M x K`` channel and ``S`` the ``L x K`` pilot code.
     Returns the ``M x L`` observation. A zero noise variance yields the exact
     matrix product.
     """
     Hm = np.asarray(H)
-    S = pilots.entries
-    if Hm.ndim != 2 or Hm.shape[1] != S.shape[1]:
+    S = np.asarray(S)
+    if Hm.ndim != 2 or S.ndim != 2 or Hm.shape[1] != S.shape[1]:
         raise InvalidParameterError(
             f"channel ({Hm.shape}) and pilots ({S.shape}) must share a node count"
         )

@@ -9,14 +9,12 @@ sparsity it can identify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 __all__ = [
-    "PilotDictionary",
     "gen_gaussian_dictionary",
     "mutual_coherence",
     "khatri_rao_dictionary",
@@ -25,69 +23,36 @@ __all__ = [
 ]
 
 
-def _normalize_columns(entries: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(entries, axis=0)
-    if np.any(norms == 0):
-        raise InvalidParameterError("pilot columns must be nonzero")
-    return entries / norms
-
-
-@dataclass(frozen=True)
-class PilotDictionary:
-    """``L x K`` training dictionary with unit-norm columns."""
-
-    entries: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def coherence(self) -> float:
-        """Mutual coherence of the columns; 0.0 for a single column."""
-        return mutual_coherence(self.entries) if self.K >= 2 else 0.0
-
-    @classmethod
-    def from_matrix(cls, entries: np.ndarray) -> "PilotDictionary":
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
-            raise InvalidParameterError(f"pilot matrix must be 2-D and nonempty, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise InvalidParameterError("pilot entries must be finite")
-        return cls(_normalize_columns(entries))
-
-
-def gen_gaussian_dictionary(L: int, K: int, rng: np.random.Generator) -> PilotDictionary:
-    """Random Gaussian code: i.i.d. complex normal entries, columns normalized."""
+def gen_gaussian_dictionary(L: int, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Random Gaussian code: ``L x K`` i.i.d. complex normal entries, unit-norm columns."""
     if L < 1 or K < 1:
         raise InvalidParameterError(f"L and K must be >= 1, got L={L}, K={K}")
     raw = rng.standard_normal((L, K)) + 1j * rng.standard_normal((L, K))
-    return PilotDictionary.from_matrix(raw)
+    return raw / np.linalg.norm(raw, axis=0)
 
 
-def mutual_coherence(pilots) -> float:
+def mutual_coherence(S: np.ndarray) -> float:
     """Largest absolute inner product between distinct normalized columns."""
-    S = np.asarray(getattr(pilots, "entries", pilots), dtype=complex)
+    S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[1] < 2:
         raise InvalidParameterError("mutual coherence needs at least two columns")
-    S = _normalize_columns(S)
+    norms = np.linalg.norm(S, axis=0)
+    if np.any(norms == 0):
+        raise InvalidParameterError("pilot columns must be nonzero")
+    S = S / norms
     gram = np.abs(S.conj().T @ S)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
 
 
-def khatri_rao_dictionary(pilots) -> np.ndarray:
+def khatri_rao_dictionary(S: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker lift ``conj(S) (x) S`` of shape ``L^2 x K``.
 
     Column ``k`` is ``kron(conj(s_k), s_k)``, chosen so that
     ``vec(S diag(r) S^H) == lift @ r`` holds exactly for complex pilots
     (column-major vectorization).
     """
-    S = np.asarray(getattr(pilots, "entries", pilots), dtype=complex)
+    S = np.asarray(S, dtype=complex)
     if S.ndim != 2:
         raise InvalidParameterError(f"pilot matrix must be 2-D, got {S.shape}")
     L = S.shape[0]

@@ -33,6 +33,8 @@ __all__ = [
     "empirical_power_floor_check",
 ]
 
+_SPLIT = 0.5  # share of the c1/L budget given to the channel cross terms (C1)
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -194,24 +196,22 @@ def recovery_bound(M: int, D: int, L: int, gamma: float) -> float:
     return max(0.0, 1.0 - (D + 4.0 * L * L) * gamma ** (-M))
 
 
-def evaluate_recovery_bound(inputs: BoundInputs, split: float = 0.5) -> BoundReport:
+def evaluate_recovery_bound(inputs: BoundInputs) -> BoundReport:
     """End-to-end bound evaluation for one configuration.
 
-    ``split`` apportions ``c1/L`` between the two cross-term budgets
-    (``C1 = split * c1/L``). The rate is ``gamma = 0.99 * min(beta_min,
+    ``c1/L`` is split evenly between the two cross-term budgets
+    (``C1 = _SPLIT * c1/L``). The rate is ``gamma = 0.99 * min(beta_min,
     exp(delta1), exp(delta2))``, the 0.99 keeping the strict inequality. If
     the hypotheses fail (``c2 >= sigma_min2``, nonpositive ``c1``, or
     ``gamma <= 1``) the bound is reported vacuous with value 0.
     """
-    if not 0.0 < split < 1.0:
-        raise InvalidParameterError(f"split must lie in (0, 1), got {split}")
     constants = lasso_constants(inputs.lam, inputs.mu, inputs.D)
     if constants.c1 <= 0 or constants.c2 <= 0 or constants.c2 >= inputs.sigma_min2:
         return BoundReport(constants, None, None, None, None, 0.0, True)
     beta_min = chernoff_power_rate(constants.c2, inputs.sigma_min2).beta
     if inputs.D >= 2:
         target = constants.c1 / inputs.L
-        d = deltas(inputs, split * target, (1.0 - split) * target)
+        d = deltas(inputs, _SPLIT * target, (1.0 - _SPLIT) * target)
         delta1, delta2 = d.delta1, d.delta2
         gamma = 0.99 * min(beta_min, math.exp(delta1), math.exp(delta2))
     else:

@@ -67,7 +67,7 @@ def test_criterion_01_vectorization_identity():
         S = gen_gaussian_dictionary(L, K, rng)
         r = rng.random(K)
         lhs = khatri_rao_dictionary(S) @ r
-        rhs = (S.entries @ np.diag(r) @ S.entries.conj().T).ravel(order="F")
+        rhs = (S @ np.diag(r) @ S.conj().T).ravel(order="F")
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     elapsed = time.perf_counter() - start
     failures = []
@@ -90,7 +90,7 @@ def test_criterion_02_coherence_identity():
         K = int(rng.integers(3, 12))
         S = gen_gaussian_dictionary(L, K, rng)
         explicit = mutual_coherence(khatri_rao_dictionary(S))
-        worst = max(worst, abs(explicit - S.coherence**2))
+        worst = max(worst, abs(explicit - mutual_coherence(S)**2))
     elapsed = time.perf_counter() - start
     failures = []
     if not worst < 1e-10:
@@ -257,7 +257,7 @@ def test_criterion_08_noiseless_end_to_end():
     for seed in range(50):
         rng = derive_rng(SEED, 8, seed)
         S = gen_gaussian_dictionary(20, 64, rng)
-        D = max(1, max_identifiable_support(S.coherence))
+        D = max(1, max_identifiable_support(mutual_coherence(S)))
         sup = draw_support(64, rng, size=D)
         H = draw_channel_gaussian(1024, sup, rng)
         Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
@@ -265,7 +265,7 @@ def test_criterion_08_noiseless_end_to_end():
         if res.support_hat != sup:
             failures.append(f"seed {seed}: support {res.support_hat.indices} != {sup.indices}")
             continue
-        H_hat = ls_channel_estimate(Y_p, S.entries[:, list(sup.indices)])
+        H_hat = ls_channel_estimate(Y_p, S[:, list(sup.indices)])
         mse = channel_mse(H[:, list(sup.indices)], H_hat)
         symbols = draw_symbols((D, 40), rng)
         Y_d = received_data(H[:, list(sup.indices)], symbols, NoiseSpec(0.0), rng)
@@ -339,7 +339,7 @@ def test_criterion_10_brute_force_oracle():
     # first master-seeded dictionary whose coherence admits two active nodes
     for offset in itertools.count():
         S = gen_gaussian_dictionary(8, K, derive_rng(SEED, 10, offset))
-        if max_identifiable_support(S.coherence) >= 2:
+        if max_identifiable_support(mutual_coherence(S)) >= 2:
             break
     A_dict = khatri_rao_dictionary(S)
     failures = []
@@ -362,7 +362,7 @@ def test_criterion_10_brute_force_oracle():
             failures.append(f"{combo}: exhaustive {best[2]} vs detector {detected.indices}")
     elapsed = time.perf_counter() - start
     ok = not failures
-    report(10, ok, f"brute-force oracle agreement on all 66 supports (mu={S.coherence:.3f}), {elapsed:.0f}s"
+    report(10, ok, f"brute-force oracle agreement on all 66 supports (mu={mutual_coherence(S):.3f}), {elapsed:.0f}s"
            + (f"; disagreements: {failures[:4]}" if failures else ""))
     assert ok, failures
 

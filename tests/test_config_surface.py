@@ -33,11 +33,8 @@ KEYS = {
     "workers": ("workers", "2", 2, "two"),
     "N": ("N", "8", 8, ""),
     "paths": ("paths", "50", 50, "many"),
-    "max_iters": ("max_iterations", "300", 300, "1.5"),
     "spread": ("spread_length", "4", 4, "four"),
     "lam": ("lam", "0.3", 0.3, "big"),
-    "tau": ("threshold_ratio", "0.2", 0.2, "auto"),
-    "tol": ("objective_tolerance", "1e-8", 1e-8, "none"),
     "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
     "channel": ("channel", "ula", "ula", "rayleigh"),
     "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
@@ -50,11 +47,11 @@ FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
     "sweep_axis", "sweep_values", "N", "channel", "paths", "lam",
-    "max_iterations", "objective_tolerance", "threshold_ratio", "use_known_sparsity",
+    "use_known_sparsity",
     "spread_length", "redraw_pilots", "compute_bound", "workers", "stream",
 )
-INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "max_iters", "spread")
-FLOAT_KEYS = ("snr", "activity_prob", "lam", "tau", "tol")
+INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "spread")
+FLOAT_KEYS = ("snr", "activity_prob", "lam")
 NULLABLE_KEYS = ("lam", "activity_prob")
 BOOL_KEYS = ("known_sparsity", "redraw_pilots", "bound")
 TRUE_WORDS = ("1", "true", "yes", "on")

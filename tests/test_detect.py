@@ -100,7 +100,7 @@ class TestBuildSmv:
         rng = derive_rng(1)
         S = gen_gaussian_dictionary(4, 6, rng)
         r = rng.random(6)
-        phi = S.entries @ np.diag(r) @ S.entries.conj().T
+        phi = S @ np.diag(r) @ S.conj().T
         A, x = build_smv(phi, S, 0.0)
         assert np.linalg.norm(A @ r - x) < 1e-10
 
@@ -179,6 +179,12 @@ class TestNnLasso:
         A = complex_normal(rng, (16, 5))
         x = complex_normal(rng, 16)
         assert default_penalty(A, x, 400) == pytest.approx(default_penalty(A, x, 100) / 2)
+
+
+class TestLassoOptions:
+    def test_rejects_nan_objective_tolerance(self):
+        with pytest.raises(InvalidParameterError):
+            LassoOptions(objective_tolerance=float("nan"))
 
 
 class TestExtractSupport:

@@ -51,7 +51,6 @@ class TestConfigValidation:
             dict(sweep_axis="frequency"),
             dict(snr_db=nan),
             dict(snr_db=-4000.0),  # noise variance beyond the float range
-            dict(objective_tolerance=nan),
             dict(sweep_axis="sparsity", sweep_values=(2.5,)),
             dict(sweep_axis="sparsity", sweep_values=(nan,)),
             dict(sweep_axis="antennas", sweep_values=(0,)),
@@ -236,6 +235,19 @@ class TestRunSweep:
         )
         assert run_sweep(cfg)[0].bound is None
 
+    def test_single_node_gives_no_bound(self):
+        # one pilot column has no coherence, so the floor is undefined
+        cfg = quick_config(
+            K=1, L=4, D=1, M=16, lam=0.3, seed=1, detector="all",
+            redraw_pilots=False, compute_bound=True, trials=3,
+        )
+        rows = run_sweep(cfg)
+        assert [r.detector for r in rows] == ["cov-lasso", "msbl", "bomp", "mfocuss"]
+        assert all(r.success_rate == 1.0 for r in rows)
+        buf = io.StringIO()
+        emit_csv(rows, buf)
+        assert all(line.endswith(",") for line in buf.getvalue().splitlines()[1:])
+
     def test_antenna_sweep_changes_m(self):
         cfg = quick_config(sweep_axis="antennas", sweep_values=(16, 32), trials=3)
         rows = run_sweep(cfg)
@@ -311,7 +323,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--snr", "nan"],
-        ["--tol", "nan"],
+        ["--lam", "nan"],
         ["--sweep", "sparsity:2.5"],
         ["--sweep", "antennas:0"],
         ["--sweep", "snr:nan"],

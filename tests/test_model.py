@@ -14,7 +14,6 @@ from gfdetect.model import (
     received_pilot,
     steering_vector,
 )
-from gfdetect.pilots import PilotDictionary
 
 
 class TestSupport:
@@ -157,7 +156,7 @@ class TestGaussianChannel:
 class TestReceivedSignals:
     def test_zero_channel_zero_noise(self):
         H = np.zeros((3, 4), dtype=complex)
-        S = PilotDictionary(np.ones((2, 4), dtype=complex))
+        S = np.ones((2, 4), dtype=complex)
         Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
         assert not Y.any()
 
@@ -165,7 +164,7 @@ class TestReceivedSignals:
         rng = derive_rng(10)
         H = complex_normal(rng, (5, 6))
         S = complex_normal(rng, (4, 6))
-        Y = received_pilot(H, PilotDictionary(S), NoiseSpec(0.0), rng)
+        Y = received_pilot(H, S, NoiseSpec(0.0), rng)
         assert np.max(np.abs(Y - H @ S.conj().T)) < 1e-12
 
     def test_hand_multiplication_oracle(self):
@@ -178,12 +177,12 @@ class TestReceivedSignals:
                 [H[1, 0] * 1 + H[1, 1] * (-1j), H[1, 0] * (-2j) + H[1, 1] * 1],
             ]
         )
-        Y = received_pilot(H, PilotDictionary(S), NoiseSpec(0.0), derive_rng(0))
+        Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
         assert np.max(np.abs(Y - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            received_pilot(np.zeros((3, 4)), PilotDictionary(np.zeros((2, 5))), NoiseSpec(0.0), derive_rng(0))
+            received_pilot(np.zeros((3, 4)), np.zeros((2, 5)), NoiseSpec(0.0), derive_rng(0))
 
     def test_received_data_pure_noise_variance(self):
         rng = derive_rng(11)
@@ -219,7 +218,7 @@ class TestDeterminism:
             rng = derive_rng(seed, 4)
             s = draw_support(16, rng, size=3)
             H = draw_channel_gaussian(8, s, rng)
-            S = PilotDictionary(complex_normal(derive_rng(seed, 5), (4, 16)))
+            S = complex_normal(derive_rng(seed, 5), (4, 16))
             return received_pilot(H, S, NoiseSpec(0.5), rng)
 
         a, b = draw(123), draw(123)

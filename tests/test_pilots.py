@@ -4,7 +4,6 @@ import pytest
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import derive_rng
 from gfdetect.pilots import (
-    PilotDictionary,
     gen_gaussian_dictionary,
     khatri_rao_dictionary,
     max_identifiable_support,
@@ -16,26 +15,29 @@ from gfdetect.pilots import (
 class TestDictionaryGeneration:
     def test_unit_column_norms(self):
         S = gen_gaussian_dictionary(20, 64, derive_rng(0))
-        norms = np.linalg.norm(S.entries, axis=0)
+        norms = np.linalg.norm(S, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_square_random_draw_not_orthonormal(self):
         S = gen_gaussian_dictionary(20, 20, derive_rng(1))
-        assert S.coherence > 0.0
+        assert mutual_coherence(S) > 0.0
 
     def test_coherence_never_below_welch_floor(self):
         floor = welch_bound(64, 20)
         for seed in range(25):
             S = gen_gaussian_dictionary(20, 64, derive_rng(seed))
-            assert floor - 1e-12 <= S.coherence < 1.0
+            assert floor - 1e-12 <= mutual_coherence(S) < 1.0
 
     def test_normalization_idempotent(self):
         S = gen_gaussian_dictionary(6, 9, derive_rng(2))
-        again = PilotDictionary.from_matrix(S.entries)
-        assert np.allclose(S.entries, again.entries)
+        again = S / np.linalg.norm(S, axis=0)
+        assert np.allclose(S, again)
 
-    def test_single_column_has_zero_coherence(self):
-        assert PilotDictionary.from_matrix(np.ones((4, 1))).coherence == 0.0
+    def test_normalizes_the_raw_draw_on_the_same_stream(self):
+        rng = derive_rng(4)
+        raw = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        expected = raw / np.linalg.norm(raw, axis=0)
+        assert np.array_equal(gen_gaussian_dictionary(6, 9, derive_rng(4)), expected)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
@@ -77,7 +79,7 @@ class TestKhatriRao:
         for seed, (L, K) in enumerate([(4, 6), (6, 10), (8, 12)]):
             S = gen_gaussian_dictionary(L, K, derive_rng(seed, 1))
             lifted = khatri_rao_dictionary(S)
-            assert mutual_coherence(lifted) == pytest.approx(S.coherence**2, abs=1e-10)
+            assert mutual_coherence(lifted) == pytest.approx(mutual_coherence(S) ** 2, abs=1e-10)
 
     def test_vectorization_identity(self):
         rng = derive_rng(3)
@@ -87,7 +89,7 @@ class TestKhatriRao:
             S = gen_gaussian_dictionary(L, K, rng)
             r = rng.random(K)
             lhs = khatri_rao_dictionary(S) @ r
-            rhs = (S.entries @ np.diag(r) @ S.entries.conj().T).ravel(order="F")
+            rhs = (S @ np.diag(r) @ S.conj().T).ravel(order="F")
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
