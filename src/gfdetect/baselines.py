@@ -1,7 +1,7 @@
 """Reference MMV solvers used for comparison against the covariance detector.
 
-Three classical row-sparse recovery algorithms operating directly on the
-``L x M`` multiple-measurement observation:
+Three classical row-sparse recovery algorithms for the ``L x M``
+multiple-measurement observation ``Y``:
 
 * ``msbl``    - multiple-measurement sparse Bayesian learning with EM
                 hyperparameter updates (Wipf & Rao style), noise variance
@@ -13,6 +13,17 @@ Three classical row-sparse recovery algorithms operating directly on the
                 reweighted least squares with row-norm weights.
 
 All three are deterministic given their inputs.
+
+Each solver depends on ``Y`` only through ``Y Y^H``: every iterate it forms
+is ``C Y`` for some matrix ``C``, and it reads those iterates only through
+row norms, residual norms and Frobenius norms of differences. With many
+antennas (``M > L``) the solvers therefore run on an ``L x L`` factor
+``F = R^H`` of the QR decomposition ``Y^H = Q R``. Since ``Y = F Q^H`` and
+``Q`` has orthonormal columns, right-multiplying by ``Q^H`` keeps all those
+norms, so the supports are those of the full observation at an ``L x L``
+instead of ``L x M`` cost per step. Quantities that scale with the snapshot
+count (MSBL's per-snapshot mean power, M-FOCUSS's regularization) still use
+the true ``M``.
 """
 
 from __future__ import annotations
@@ -85,7 +96,7 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     ``0.4 * max(gamma)`` (the rule of :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
-    Y = problem.Y
+    Y = _snapshot_factor(problem.Y)
     L, K = S.shape
     M = problem.num_snapshots
     sigma2 = max(problem.sigma_w2, 1e-12)
@@ -100,7 +111,8 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
         SiY = solved[:, K:]
         quad = np.einsum("lk,lk->k", S.conj(), SiS).real
         mu = gamma[:, None] * (S.conj().T @ SiY)
-        mean_power = np.mean(np.abs(mu) ** 2, axis=1) if M else np.zeros(K)
+        # the factor has min(L, M) columns; the mean is over all M snapshots
+        mean_power = np.sum(np.abs(mu) ** 2, axis=1) / M if M else np.zeros(K)
         gamma_new = mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
         gamma_new[gamma_new < _GAMMA_FLOOR] = 0.0
         peak = gamma_new.max()
@@ -114,14 +126,15 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
 def bomp(problem: MmvProblem, D: int) -> Support:
     """Block-greedy pursuit; the activity level ``D`` is a required prior.
 
-    Works on the unlifted ``L x M`` observation: the lifted model's block
-    correlations factor into per-node residual correlations ``||s_k^H R||``,
-    so no ``LM x KM`` matrix is ever materialized. Each round selects the
+    Works on the unlifted observation, through its snapshot factor: the
+    lifted model's block correlations factor into per-node residual
+    correlations ``||s_k^H R||``, so no ``LM x KM`` matrix is ever
+    materialized. Each round selects the
     highest-scoring node and refits all selected channels by least squares.
     ``D = 0`` (nobody transmitted) gives the empty support.
     """
     S = problem.S
-    Y = problem.Y
+    Y = _snapshot_factor(problem.Y)
     L, K = S.shape
     if not 0 <= D <= K:
         raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
@@ -154,7 +167,7 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
-    Y = problem.Y
+    Y = _snapshot_factor(problem.Y)
     L = S.shape[0]
     lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))
 
@@ -176,6 +189,14 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
             break
     final_norms = np.linalg.norm(X, axis=1)
     return extract_support(final_norms, LassoOptions(threshold_ratio=_FOCUSS_PRUNE_TOLERANCE, known_sparsity=D_known))
+
+
+def _snapshot_factor(Y: np.ndarray) -> np.ndarray:
+    """Return ``F`` with ``F F^H = Y Y^H`` and ``min(L, M)`` columns (module docstring)."""
+    L, M = Y.shape
+    if M <= L:
+        return Y
+    return np.linalg.qr(Y.conj().T, mode="r").conj().T
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfdetect.baselines import MmvProblem, bomp, mfocuss, msbl
+from gfdetect.baselines import MmvProblem, _snapshot_factor, bomp, mfocuss, msbl
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
     NoiseSpec,
@@ -16,11 +18,12 @@ from gfdetect.pilots import gen_gaussian_dictionary
 
 
 def make_problem(seed, D, snr_db, M=32, K=64, L=20):
+    """A pilot-block instance; ``snr_db=None`` means noiseless."""
     rng = derive_rng(seed, 21)
     S = gen_gaussian_dictionary(L, K, rng)
     sup = draw_support(K, rng, size=D)
     H = draw_channel_gaussian(M, sup, rng)
-    noise = NoiseSpec.from_snr_db(snr_db)
+    noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
     Y_p = received_pilot(H, S, noise, rng)
     return MmvProblem.from_received_pilot(Y_p, S, noise.variance), sup
 
@@ -142,3 +145,97 @@ class TestSharedBehavior:
             MmvProblem(np.zeros((19, 4), complex), S, 0.1)
         with pytest.raises(InvalidParameterError):
             MmvProblem(np.zeros((20, 4), complex), S, -0.1)
+
+
+# (seed, D, snr_db, M, K, L) -> supports of msbl(P), bomp(P, D), mfocuss(P),
+# captured by running the solvers on the full L x M observation (commit 01c3429)
+PINNED_SUPPORTS = [
+    ((0, 10, 0.0, 128, 64, 20),
+     (1, 9, 12, 18, 20, 22, 29, 32, 35, 40),
+     (7, 9, 18, 20, 22, 29, 32, 40, 52, 59),
+     (1, 9, 12, 18, 20, 22, 29, 32, 35, 40)),
+    ((1, 10, 0.0, 128, 64, 20),
+     (1, 8, 12, 33, 38, 46, 48, 55, 56, 63),
+     (1, 8, 11, 12, 38, 46, 53, 56, 60, 61),
+     (1, 8, 12, 33, 38, 46, 48, 55, 56, 63)),
+    ((2, 10, 0.0, 128, 64, 20),
+     (6, 11, 16, 33, 36, 37, 45, 48, 55, 57),
+     (6, 14, 25, 33, 36, 37, 45, 48, 55, 57),
+     (6, 11, 33, 36, 37, 45, 48, 55, 57)),
+    ((0, 10, 10.0, 128, 64, 20),
+     (1, 9, 12, 18, 20, 22, 29, 32, 35, 40),
+     (1, 9, 12, 18, 20, 22, 29, 32, 35, 40),
+     (1, 9, 12, 18, 20, 22, 29, 32, 35, 40)),
+    ((1, 10, 10.0, 128, 64, 20),
+     (1, 8, 12, 33, 38, 46, 48, 55, 56, 63),
+     (1, 8, 12, 33, 38, 46, 48, 55, 56, 63),
+     (1, 8, 12, 33, 38, 46, 48, 55, 56, 63)),
+    ((3, 6, 0.0, 500, 64, 20),
+     (0, 2, 22, 26, 27, 37),
+     (0, 2, 22, 26, 37, 61),
+     (0, 2, 22, 26, 27, 37)),
+    # M == L
+    ((4, 4, 10.0, 20, 64, 20), (2, 42, 47, 48), (2, 42, 47, 48), (2, 42, 47, 48)),
+    ((5, 4, 0.0, 20, 64, 20), (5, 34, 40), (5, 8, 34, 40), (5, 34, 40)),
+    # M < L
+    ((6, 3, 10.0, 8, 64, 20), (7, 12, 29), (7, 12, 29), (7, 12, 29)),
+    ((7, 5, 0.0, 8, 16, 16), (2, 7, 11, 14, 15), (2, 6, 7, 11, 14), (2, 11)),
+    # noiseless
+    ((8, 5, None, 128, 64, 20), (16, 21, 42, 45, 56), (16, 21, 42, 45, 56), (16, 21, 42, 45, 56)),
+    ((9, 3, None, 8, 64, 20), (19, 22, 32), (19, 22, 32), (19, 22, 32)),
+    # D = 0: pure noise still passes the relative pruning rules
+    ((10, 0, 10.0, 128, 64, 20),
+     (2, 12, 15, 24, 36, 37, 54, 57),
+     (),
+     (5, 6, 7, 8, 11, 12, 14, 15, 18, 24, 27, 28, 32, 33, 40, 41, 43, 44, 45, 46, 47, 48, 49,
+      51, 54, 57, 59, 61, 63)),
+    ((11, 0, None, 128, 64, 20), (), (), ()),
+]
+
+
+@pytest.mark.parametrize("case, msbl_sup, bomp_sup, mfocuss_sup", PINNED_SUPPORTS,
+                         ids=[f"seed{case[0]}" for case, *_ in PINNED_SUPPORTS])
+def test_pinned_supports(case, msbl_sup, bomp_sup, mfocuss_sup):
+    seed, D, snr_db, M, K, L = case
+    problem, _ = make_problem(seed, D, snr_db, M=M, K=K, L=L)
+    assert msbl(problem).indices == msbl_sup
+    assert bomp(problem, D).indices == bomp_sup
+    assert mfocuss(problem).indices == mfocuss_sup
+
+
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(0, 40))
+def test_snapshot_factor_keeps_the_gram(seed, L, M):
+    rng = derive_rng(seed, 25)
+    Y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
+    Y *= rng.choice([1e-6, 1.0, 1e6])
+    F = _snapshot_factor(Y)
+    assert F.shape == (L, min(L, M))
+    gram = Y @ Y.conj().T
+    assert np.linalg.norm(F @ F.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(2, 10),
+    extra_K=st.integers(0, 20),
+    M=st.integers(1, 40),
+    D=st.integers(0, 4),
+    snr_db=st.one_of(st.none(), st.floats(-5.0, 30.0)),
+)
+def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, D, snr_db):
+    # a solver that reads Y only through Y Y^H cannot tell Y from Y U; D <= L
+    # keeps block-OMP off the zero residual, where its pick is rounding noise
+    K = L + extra_K
+    D = min(D, L)
+    rng = derive_rng(seed, 26)
+    S = gen_gaussian_dictionary(L, K, rng)
+    H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
+    noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
+    Y = received_pilot(H, S, noise, rng).conj().T
+    U, _ = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    mixed = MmvProblem(Y @ U, S, noise.variance)
+    problem = MmvProblem(Y, S, noise.variance)
+    assert msbl(mixed) == msbl(problem)
+    assert bomp(mixed, D) == bomp(problem, D)
+    assert mfocuss(mixed) == mfocuss(problem)
