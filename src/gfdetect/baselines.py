@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import LassoOptions, extract_support
+from .detect import extract_support
 from .errors import InvalidParameterError
 from .model import Support
 
@@ -43,6 +43,8 @@ __all__ = ["MmvProblem", "msbl", "bomp", "mfocuss"]
 # hyperparameters this far below the typical signal scale are treated as
 # exactly zero (unit-power channels, unit-energy symbols)
 _GAMMA_FLOOR = 1e-8
+# a block-OMP residual this far below the observation norm is a full fit
+_ZERO_RESIDUAL = 1e-12
 
 # fixed solver settings; the baseline curves are defined by these values
 _MSBL_MAX_ITERS = 500
@@ -120,7 +122,7 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
         gamma = gamma_new
         if peak == 0.0 or change <= _MSBL_GAMMA_TOL * max(peak, 1e-30):
             break
-    return extract_support(gamma, LassoOptions(threshold_ratio=_MSBL_PRUNE_TOLERANCE, known_sparsity=D_known))
+    return extract_support(gamma, D_known, _MSBL_PRUNE_TOLERANCE)
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:
@@ -131,7 +133,10 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     correlations ``||s_k^H R||``, so no ``LM x KM`` matrix is ever
     materialized. Each round selects the
     highest-scoring node and refits all selected channels by least squares.
-    ``D = 0`` (nobody transmitted) gives the empty support.
+    ``D = 0`` (nobody transmitted) gives the empty support. Once the
+    residual is numerically zero, which takes at most ``rank(S) <= L``
+    picks, any further pick would be decided by rounding noise, so the
+    search stops there and returns fewer than ``D`` nodes.
     """
     S = problem.S
     Y = _snapshot_factor(problem.Y)
@@ -140,8 +145,11 @@ def bomp(problem: MmvProblem, D: int) -> Support:
         raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
 
     residual = Y
+    floor = _ZERO_RESIDUAL * np.linalg.norm(Y)
     selected: list[int] = []
     for _ in range(D):
+        if np.linalg.norm(residual) <= floor:
+            break
         scores = np.linalg.norm(S.conj().T @ residual, axis=1)
         if selected:
             scores[selected] = -1.0
@@ -188,7 +196,7 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
         if change <= _FOCUSS_TOL * max(np.linalg.norm(X), 1e-30):
             break
     final_norms = np.linalg.norm(X, axis=1)
-    return extract_support(final_norms, LassoOptions(threshold_ratio=_FOCUSS_PRUNE_TOLERANCE, known_sparsity=D_known))
+    return extract_support(final_norms, D_known, _FOCUSS_PRUNE_TOLERANCE)
 
 
 def _snapshot_factor(Y: np.ndarray) -> np.ndarray:

@@ -37,14 +37,12 @@ class LassoOptions:
     """Solver and support-extraction knobs.
 
     ``lam=None`` selects a scale-aware default penalty at solve time.
-    ``known_sparsity`` switches support extraction from the relative
-    threshold rule to keeping that many largest entries.
+    ``known_sparsity`` is passed to :func:`extract_support`.
     """
 
     lam: float | None = None
     max_iterations: int = 2000
     objective_tolerance: float = 1e-10
-    threshold_ratio: float = 0.1
     known_sparsity: int | None = None
 
     def __post_init__(self) -> None:
@@ -52,8 +50,6 @@ class LassoOptions:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be >= 1")
-        if not 0.0 < self.threshold_ratio < 1.0:
-            raise InvalidParameterError("threshold_ratio must lie in (0, 1)")
         if not self.objective_tolerance >= 0:  # also rejects NaN
             raise InvalidParameterError(f"objective_tolerance must be >= 0, got {self.objective_tolerance}")
         if self.known_sparsity is not None and self.known_sparsity < 0:
@@ -213,7 +209,7 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
 
     return DetectionResult(
         r_hat=r,
-        support_hat=extract_support(r, opts),
+        support_hat=extract_support(r, opts.known_sparsity),
         iterations=iterations,
         converged=converged,
         lam=float(lam),
@@ -239,7 +235,9 @@ def kkt_residual(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float) -> flo
     return worst
 
 
-def extract_support(r_hat: np.ndarray, opts: LassoOptions) -> Support:
+def extract_support(
+    r_hat: np.ndarray, known_sparsity: int | None = None, threshold_ratio: float = 0.1
+) -> Support:
     """Decide the active set from a nonnegative power vector.
 
     With ``known_sparsity`` set, keep that many largest strictly positive
@@ -252,12 +250,16 @@ def extract_support(r_hat: np.ndarray, opts: LassoOptions) -> Support:
         raise InvalidParameterError(f"r_hat must be a vector, got shape {r.shape}")
     if np.any(r < 0):
         raise InvalidParameterError("r_hat must be elementwise nonnegative")
-    if opts.known_sparsity is not None:
-        order = np.argsort(-r, kind="stable")[: opts.known_sparsity]
+    if known_sparsity is not None and known_sparsity < 0:
+        raise InvalidParameterError("known_sparsity must be >= 0")
+    if not 0.0 < threshold_ratio < 1.0:
+        raise InvalidParameterError("threshold_ratio must lie in (0, 1)")
+    if known_sparsity is not None:
+        order = np.argsort(-r, kind="stable")[:known_sparsity]
         idx = sorted(int(i) for i in order if r[i] > 0)
     else:
         peak = float(r.max()) if r.size else 0.0
-        idx = [] if peak <= 0 else [int(i) for i in np.flatnonzero(r > opts.threshold_ratio * peak)]
+        idx = [] if peak <= 0 else [int(i) for i in np.flatnonzero(r > threshold_ratio * peak)]
     return Support(tuple(idx), r.size)
 
 

@@ -68,7 +68,8 @@ __all__ = [
 
 DETECTOR_NAMES = ("cov-lasso", "msbl", "bomp", "mfocuss")
 GENIE_NAMES = ("pai", "paci")
-SWEEP_AXES = ("none", "sparsity", "snr", "antennas")  # "none" (unswept) first
+_AXIS_FIELDS = {"sparsity": "D", "snr": "snr_db", "antennas": "M"}  # sweep axis -> field it sets
+SWEEP_AXES = ("none", *_AXIS_FIELDS)  # "none" (unswept) first
 
 _PILOT_STREAM = 0x70494C4F  # stream key for the shared dictionary draw
 _NO_KEY = {"key": None}  # field metadata: no configuration key sets this field
@@ -352,16 +353,12 @@ def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
 def _sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfig]]:
     if config.sweep_axis == "none":
         return [(0.0, config)]
-    points = []
-    for i, value in enumerate(config.sweep_values):  # checked by validate()
-        if config.sweep_axis == "sparsity":
-            pc = dataclasses.replace(config, D=int(value), stream=i)
-        elif config.sweep_axis == "snr":
-            pc = dataclasses.replace(config, snr_db=float(value), stream=i)
-        else:  # antennas
-            pc = dataclasses.replace(config, M=int(value), stream=i)
-        points.append((float(value), pc))
-    return points
+    name = _AXIS_FIELDS[config.sweep_axis]
+    cast = float if name == "snr_db" else int  # values checked by validate()
+    return [
+        (float(value), dataclasses.replace(config, stream=i, **{name: cast(value)}))
+        for i, value in enumerate(config.sweep_values)
+    ]
 
 
 def _point_bound(pc: ExperimentConfig) -> float | None:
@@ -467,7 +464,7 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     """Parse ``axis:start:step:stop`` or ``axis:v1,v2,...`` sweep syntax."""
     parts = spec.split(":")
     axis = parts[0].strip()
-    if axis not in SWEEP_AXES[1:]:
+    if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     try:
         if len(parts) == 4:

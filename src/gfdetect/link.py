@@ -41,12 +41,25 @@ def draw_symbols(shape, rng: np.random.Generator) -> np.ndarray:
     return QPSK[rng.integers(0, QPSK.size, size=shape)]
 
 
-def _check_gram(gram: np.ndarray, what: str) -> None:
-    cond = float(np.linalg.cond(gram)) if gram.size else 1.0
+def _solve_normal(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve the normal equations ``(A^H A) X = rhs`` for a tall ``A``.
+
+    A zero-column ``A`` gives the empty ``0 x n`` solution. More columns
+    than rows, or a Gram matrix conditioned worse than ``_COND_LIMIT``,
+    raises :class:`SingularSystemError`.
+    """
+    rows, cols = A.shape
+    if cols == 0:
+        return np.zeros((0, rhs.shape[1]), dtype=complex)
+    if cols > rows:
+        raise SingularSystemError(f"cannot solve for {cols} {what} columns from {rows} rows")
+    gram = A.conj().T @ A
+    cond = float(np.linalg.cond(gram))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(
             f"{what} Gram matrix is numerically singular (condition number {cond:.3e})"
         )
+    return np.linalg.solve(gram, rhs)
 
 
 def ls_channel_estimate(Y_p: np.ndarray, S_active: np.ndarray) -> np.ndarray:
@@ -62,17 +75,8 @@ def ls_channel_estimate(Y_p: np.ndarray, S_active: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"pilot length mismatch between observation {Y.shape} and pilots {S.shape}"
         )
-    K_a = S.shape[1]
-    if K_a == 0:
-        return np.zeros((Y.shape[0], 0), dtype=complex)
-    if K_a > S.shape[0]:
-        raise SingularSystemError(
-            f"cannot estimate {K_a} channels from pilots of length {S.shape[0]}"
-        )
-    gram = S.conj().T @ S
-    _check_gram(gram, "pilot")
     # H G = Y S  with Hermitian G  =>  H = solve(G, (Y S)^H)^H
-    return np.linalg.solve(gram, (Y @ S).conj().T).conj().T
+    return _solve_normal(S, (Y @ S).conj().T, "pilot").conj().T
 
 
 def ls_data_decode(Y_d: np.ndarray, H_hat: np.ndarray) -> np.ndarray:
@@ -87,15 +91,7 @@ def ls_data_decode(Y_d: np.ndarray, H_hat: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(
             f"antenna count mismatch between data {Y.shape} and channel {H.shape}"
         )
-    if H.shape[1] == 0:
-        return np.zeros((0, Y.shape[1]), dtype=complex)
-    if H.shape[0] < H.shape[1]:
-        raise SingularSystemError(
-            f"need at least as many antennas as streams, got {H.shape}"
-        )
-    gram = H.conj().T @ H
-    _check_gram(gram, "channel")
-    return np.linalg.solve(gram, H.conj().T @ Y)
+    return _solve_normal(H, H.conj().T @ Y, "channel")
 
 
 def demodulate(D_soft: np.ndarray) -> np.ndarray:

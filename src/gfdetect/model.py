@@ -197,10 +197,7 @@ def received_pilot(H: np.ndarray, S: np.ndarray, noise: NoiseSpec, rng: np.rando
         raise InvalidParameterError(
             f"channel ({Hm.shape}) and pilots ({S.shape}) must share a node count"
         )
-    Y = Hm @ S.conj().T
-    if noise.variance > 0:
-        Y = Y + complex_normal(rng, Y.shape, noise.variance)
-    return Y
+    return _observe(Hm, S.conj().T, noise, rng)
 
 
 def received_data(
@@ -220,7 +217,12 @@ def received_data(
         raise InvalidParameterError(
             f"inner dimensions must agree, got {Hm.shape} and {D.shape}"
         )
-    Y = Hm @ D
+    return _observe(Hm, D, noise, rng)
+
+
+def _observe(A: np.ndarray, B: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+    """``A @ B`` plus white noise of ``noise.variance``; none is drawn when it is zero."""
+    Y = A @ B
     if noise.variance > 0:
         Y = Y + complex_normal(rng, Y.shape, noise.variance)
     return Y

@@ -220,14 +220,13 @@ def test_snapshot_factor_keeps_the_gram(seed, L, M):
     L=st.integers(2, 10),
     extra_K=st.integers(0, 20),
     M=st.integers(1, 40),
-    D=st.integers(0, 4),
+    data=st.data(),
     snr_db=st.one_of(st.none(), st.floats(-5.0, 30.0)),
 )
-def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, D, snr_db):
-    # a solver that reads Y only through Y Y^H cannot tell Y from Y U; D <= L
-    # keeps block-OMP off the zero residual, where its pick is rounding noise
+def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, data, snr_db):
+    # a solver that reads Y only through Y Y^H cannot tell Y from Y U
     K = L + extra_K
-    D = min(D, L)
+    D = data.draw(st.integers(0, K), label="D")
     rng = derive_rng(seed, 26)
     S = gen_gaussian_dictionary(L, K, rng)
     H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
@@ -239,3 +238,15 @@ def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, D
     assert msbl(mixed) == msbl(problem)
     assert bomp(mixed, D) == bomp(problem, D)
     assert mfocuss(mixed) == mfocuss(problem)
+
+
+def test_bomp_stops_at_a_zero_residual():
+    # noiseless D > L: after L picks the refit is exact, and a further pick
+    # would follow the rounding of Y (at this seed Y and jY picked differently)
+    rng = derive_rng(7, 27)
+    S = gen_gaussian_dictionary(2, 4, rng)
+    H = draw_channel_gaussian(1, draw_support(4, rng, size=3), rng)
+    Y = received_pilot(H, S, NoiseSpec(0.0), rng).conj().T
+    support = bomp(MmvProblem(Y, S, 0.0), 3)
+    assert support.size <= 2
+    assert bomp(MmvProblem(1j * Y, S, 0.0), 3) == support

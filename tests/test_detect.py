@@ -189,27 +189,33 @@ class TestLassoOptions:
 
 class TestExtractSupport:
     def test_zero_vector_empty(self):
-        assert extract_support(np.zeros(5), LassoOptions()).indices == ()
+        assert extract_support(np.zeros(5)).indices == ()
 
     def test_relative_threshold_rule(self):
         r = np.array([5.0, 0.01, 4.0, 0.0])
-        assert extract_support(r, LassoOptions(threshold_ratio=0.1)).indices == (0, 2)
+        assert extract_support(r, threshold_ratio=0.1).indices == (0, 2)
 
     def test_known_sparsity_takes_largest(self):
         r = np.array([1.0, 3.0, 2.0])
-        assert extract_support(r, LassoOptions(known_sparsity=1)).indices == (1,)
+        assert extract_support(r, known_sparsity=1).indices == (1,)
 
     def test_known_sparsity_skips_zeros(self):
         r = np.array([0.0, 2.0, 0.0])
-        assert extract_support(r, LassoOptions(known_sparsity=2)).indices == (1,)
+        assert extract_support(r, known_sparsity=2).indices == (1,)
 
     def test_tie_breaks_toward_lower_index(self):
         r = np.array([1.0, 1.0, 1.0])
-        assert extract_support(r, LassoOptions(known_sparsity=2)).indices == (0, 1)
+        assert extract_support(r, known_sparsity=2).indices == (0, 1)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
-            extract_support(np.array([-1.0, 2.0]), LassoOptions())
+            extract_support(np.array([-1.0, 2.0]))
+
+    @pytest.mark.parametrize("kwargs", [dict(threshold_ratio=0.0), dict(threshold_ratio=1.0),
+                                        dict(known_sparsity=-1)])
+    def test_rejects_out_of_range_rule(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            extract_support(np.array([1.0, 2.0]), **kwargs)
 
 
 class TestDetectActivity:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gfdetect
 from gfdetect.cli import main
 from gfdetect.errors import ConfigError, InvalidParameterError
 from gfdetect.harness import (
@@ -348,10 +349,13 @@ class TestCli:
         assert code == 0
 
     def test_console_entry_point(self):
+        # the child imports the package under test, wherever sys.path found it
+        src = str(Path(gfdetect.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "gfdetect", "sweep", "--sweep", "snr:0",
              "--trials", "1", "--D", "1", "--M", "8", "--N", "0"],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("axis,")

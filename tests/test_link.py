@@ -91,6 +91,26 @@ class TestDataDecode:
             ls_data_decode(np.zeros((3, 5), complex), np.ones((3, 4), complex))
 
 
+class TestNormalEquations:
+    def test_empty_support_gives_empty_solutions(self):
+        rng = derive_rng(7, 31)
+        Y = complex_normal(rng, (6, 4))
+        assert ls_channel_estimate(Y, np.zeros((4, 0), complex)).shape == (6, 0)
+        assert ls_data_decode(Y, np.zeros((6, 0), complex)).shape == (0, 4)
+
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), L=st.integers(1, 10),
+           data=st.data())
+    def test_channel_estimate_is_decode_of_the_conjugate_block(self, seed, M, L, data):
+        K_a = data.draw(st.integers(1, L), label="K_a")
+        rng = derive_rng(seed, 32)
+        S = gen_gaussian_dictionary(L, K_a, rng)
+        Y_p = complex_normal(rng, (M, L))
+        H_hat = ls_channel_estimate(Y_p, S)
+        via_decode = ls_data_decode(Y_p.conj().T, S).conj().T
+        assert H_hat.shape == via_decode.shape == (M, K_a)
+        assert np.linalg.norm(H_hat - via_decode) <= 1e-10 * np.linalg.norm(H_hat)
+
+
 class TestDemodulate:
     def test_exact_points_fixed(self):
         assert np.array_equal(demodulate(QPSK.reshape(2, 2)), QPSK.reshape(2, 2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
@@ -199,6 +201,17 @@ class TestReceivedSignals:
         H = np.array([[2.0], [1j]])
         Y = received_data(H, np.array([[3.0]]), NoiseSpec(0.0), derive_rng(0))
         assert np.allclose(Y, 3 * H)
+
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), L=st.integers(1, 8),
+           K=st.integers(1, 8), variance=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_pilot_is_data_with_the_conjugate_code(self, seed, M, L, K, variance):
+        rng = derive_rng(seed, 13)
+        H = complex_normal(rng, (M, K))
+        S = complex_normal(rng, (L, K))
+        noise = NoiseSpec(variance)
+        Y_p = received_pilot(H, S, noise, derive_rng(seed, 14))
+        Y_d = received_data(H, S.conj().T, noise, derive_rng(seed, 14))
+        assert np.array_equal(Y_p, Y_d)
 
 
 class TestNoiseSpec:
