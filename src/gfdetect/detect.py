@@ -20,7 +20,6 @@ from .model import Support
 from .pilots import khatri_rao_dictionary
 
 __all__ = [
-    "LassoOptions",
     "DetectionResult",
     "sample_covariance",
     "build_smv",
@@ -30,30 +29,6 @@ __all__ = [
     "extract_support",
     "detect_activity",
 ]
-
-
-@dataclass(frozen=True)
-class LassoOptions:
-    """Solver and support-extraction knobs.
-
-    ``lam=None`` selects a scale-aware default penalty at solve time.
-    ``known_sparsity`` is passed to :func:`extract_support`.
-    """
-
-    lam: float | None = None
-    max_iterations: int = 2000
-    objective_tolerance: float = 1e-10
-    known_sparsity: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.lam is not None and (self.lam < 0 or not math.isfinite(self.lam)):
-            raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be >= 1")
-        if not self.objective_tolerance >= 0:  # also rejects NaN
-            raise InvalidParameterError(f"objective_tolerance must be >= 0, got {self.objective_tolerance}")
-        if self.known_sparsity is not None and self.known_sparsity < 0:
-            raise InvalidParameterError("known_sparsity must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,7 +110,15 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
     return value
 
 
-def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 1) -> DetectionResult:
+def nn_lasso(
+    A: np.ndarray,
+    x: np.ndarray,
+    lam: float | None = None,
+    snapshots: int = 1,
+    known_sparsity: int | None = None,
+    max_iterations: int = 2000,
+    objective_tolerance: float = 1e-10,
+) -> DetectionResult:
     """Solve ``min 0.5*||A r - x||^2 + lam*sum(r)`` subject to ``r >= 0``.
 
     ``A`` and ``x`` may be complex while ``r`` is real nonnegative; the
@@ -145,6 +128,8 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
     restarted whenever the accelerated step fails to decrease the objective,
     which keeps the objective non-increasing. Convergence is declared when
     the relative objective decrease drops below ``objective_tolerance``.
+    ``lam=None`` selects :func:`default_penalty` for ``snapshots`` averaged
+    antennas; ``known_sparsity`` is passed to :func:`extract_support`.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
@@ -152,13 +137,20 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
         raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(x)):
         raise InvalidParameterError("A and x must be finite")
+    if lam is not None and (lam < 0 or not math.isfinite(lam)):
+        raise InvalidParameterError(f"lam must be >= 0, got {lam}")
+    if max_iterations < 1:
+        raise InvalidParameterError("max_iterations must be >= 1")
+    if not objective_tolerance >= 0:  # also rejects NaN
+        raise InvalidParameterError(f"objective_tolerance must be >= 0, got {objective_tolerance}")
 
     K = A.shape[1]
     gram_c = A.conj().T @ A
     gram = np.ascontiguousarray(gram_c.real)
     b = (A.conj().T @ x).real
     xnorm2 = float(np.real(np.vdot(x, x)))
-    lam = opts.lam if opts.lam is not None else default_penalty(A, x, snapshots)
+    if lam is None:
+        lam = default_penalty(A, x, snapshots)
 
     lip = _spectral_norm_sq(gram_c)
     step = 1.0 / (1.01 * lip) if lip > 0 else 1.0
@@ -176,7 +168,7 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
     plain_step = True  # y currently equals r (no momentum in flight)
 
     eps = np.finfo(float).eps
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         grad = gram @ y - b
         z = y - step * (grad + lam)
         np.maximum(z, 0.0, out=z)
@@ -194,7 +186,7 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
             decrease = obj - obj_z
             obj = obj_z
             # strict: a zero tolerance disables the plateau stop entirely
-            if max(decrease, 0.0) < opts.objective_tolerance * max(abs(obj), 1e-30):
+            if max(decrease, 0.0) < objective_tolerance * max(abs(obj), 1e-30):
                 converged = True
                 break
         else:
@@ -209,7 +201,7 @@ def nn_lasso(A: np.ndarray, x: np.ndarray, opts: LassoOptions, snapshots: int = 
 
     return DetectionResult(
         r_hat=r,
-        support_hat=extract_support(r, opts.known_sparsity),
+        support_hat=extract_support(r, known_sparsity),
         iterations=iterations,
         converged=converged,
         lam=float(lam),
@@ -263,8 +255,14 @@ def extract_support(
     return Support(tuple(idx), r.size)
 
 
-def detect_activity(Y_p: np.ndarray, S: np.ndarray, sigma_w2: float, opts: LassoOptions) -> DetectionResult:
+def detect_activity(
+    Y_p: np.ndarray,
+    S: np.ndarray,
+    sigma_w2: float,
+    lam: float | None = None,
+    known_sparsity: int | None = None,
+) -> DetectionResult:
     """Full covariance-domain detection on a received pilot block and its ``L x K`` pilot code."""
     Y = np.asarray(Y_p)
     A, x = build_smv(sample_covariance(Y), S, sigma_w2)
-    return nn_lasso(A, x, opts, snapshots=Y.shape[0])
+    return nn_lasso(A, x, lam, Y.shape[0], known_sparsity)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import theory
 from .baselines import MmvProblem, bomp, mfocuss, msbl
-from .detect import LassoOptions, detect_activity
+from .detect import detect_activity
 from .errors import (
     ConditionViolatedError,
     ConfigError,
@@ -39,13 +39,13 @@ from .link import (
     symbol_error_rate,
 )
 from .model import (
-    NoiseSpec,
     Support,
     complex_normal,
     derive_rng,
     draw_channel_gaussian,
     draw_channel_ula,
     draw_support,
+    noise_variance,
     received_data,
     received_pilot,
 )
@@ -115,6 +115,10 @@ class ExperimentConfig:
             raise ConfigError(f"activity_prob must lie in [0, 1], got {self.activity_prob}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.lam is not None and not 0 <= self.lam < math.inf:  # also rejects NaN
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.N < 0:
             raise ConfigError(f"N must be >= 0, got {self.N}")
         if self.workers < 1:
@@ -139,9 +143,8 @@ class ExperimentConfig:
                 raise ConfigError(f"antenna counts must be positive integers, got {value}")
         snrs = self.sweep_values if self.sweep_axis == "snr" else ()
         try:
-            self.lasso_options(self.D if self.use_known_sparsity else None)
             for snr_db in (self.snr_db, *snrs):
-                NoiseSpec.from_snr_db(snr_db)
+                noise_variance(snr_db)
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -161,9 +164,6 @@ class ExperimentConfig:
             raise ConfigError("no detector selected")
         # preserve order, drop duplicates
         return tuple(dict.fromkeys(names))
-
-    def lasso_options(self, known_sparsity: int | None) -> LassoOptions:
-        return LassoOptions(lam=self.lam, known_sparsity=known_sparsity)
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,7 @@ def _run_detector(
     D_true = support_true.size
     if name == "cov-lasso":
         D_known = D_true if config.use_known_sparsity else None
-        result = detect_activity(Y_p, S, sigma_w2, config.lasso_options(D_known))
-        return result.support_hat
+        return detect_activity(Y_p, S, sigma_w2, config.lam, D_known).support_hat
     if name in GENIE_NAMES:
         return support_true
     problem = MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
@@ -318,8 +317,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         H = draw_channel_ula(config.M, config.paths, support, rng)
     else:
         H = draw_channel_gaussian(config.M, support, rng)
-    noise = NoiseSpec.from_snr_db(config.snr_db)
-    Y_p = received_pilot(H, S, noise, rng)
+    sigma_w2 = noise_variance(config.snr_db)
+    Y_p = received_pilot(H, S, sigma_w2, rng)
 
     active = list(support.indices)
     true_symbols = np.zeros((config.K, config.N), dtype=complex)
@@ -333,12 +332,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             codes = complex_normal(rng, (config.K, config.spread_length))
             codes /= np.linalg.norm(codes, axis=1, keepdims=True)
             tx = spread_symbols(symbols, codes[active])
-        Y_d = received_data(H[:, active], tx, noise, rng)
+        Y_d = received_data(H[:, active], tx, sigma_w2, rng)
 
     metrics: dict[str, TrialMetrics] = {}
     for name in config.detector_list():
         start = time.perf_counter()
-        support_hat = _run_detector(name, Y_p, S, noise.variance, support, config)
+        support_hat = _run_detector(name, Y_p, S, sigma_w2, support, config)
         runtime_ms = (time.perf_counter() - start) * 1e3
         metrics[name] = _score(
             name, support, support_hat, runtime_ms, H, S, Y_p, Y_d, true_symbols, codes,
@@ -376,11 +375,11 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
         or pc.D < 1
     ):
         return None
-    noise = NoiseSpec.from_snr_db(pc.snr_db)
-    if noise.variance <= 0:
+    sigma_w2 = noise_variance(pc.snr_db)
+    if sigma_w2 <= 0:
         return None
     S = _shared_pilots(pc)
-    sigma_w = math.sqrt(noise.variance)
+    sigma_w = math.sqrt(sigma_w2)
     try:
         inputs = theory.BoundInputs(
             lam=pc.lam,
@@ -395,7 +394,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
             S_infnorm=float(np.max(np.abs(S))),
             sigma_min2=1.0,
         )
-        return theory.evaluate_recovery_bound(inputs).bound
+        return theory.evaluate_recovery_bound(inputs)
     except (InvalidParameterError, ConditionViolatedError):
         return None
 
@@ -469,6 +468,8 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     try:
         if len(parts) == 4:
             start, step, stop = (float(p) for p in parts[1:])
+            if not all(map(math.isfinite, (start, step, stop))):
+                raise ConfigError(f"non-finite sweep range in {spec!r}")
             if step == 0 or (stop - start) * step < 0:
                 raise ConfigError(f"unreachable sweep range in {spec!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -477,7 +478,9 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
             values = tuple(float(tok) for tok in parts[1].split(",") if tok.strip())
         else:
             raise ConfigError(f"malformed sweep spec {spec!r}")
-    except ValueError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a token that is not a number
         raise ConfigError(f"malformed sweep spec {spec!r}") from exc
     if not values:
         raise ConfigError(f"sweep spec {spec!r} has no values")

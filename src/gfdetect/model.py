@@ -16,7 +16,7 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "Support",
-    "NoiseSpec",
+    "noise_variance",
     "derive_rng",
     "complex_normal",
     "draw_support",
@@ -77,25 +77,20 @@ class Support:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Receiver noise level, per complex entry.
+def noise_variance(snr_db: float) -> float:
+    """Receiver noise variance per complex entry, ``10^(-snr_db/10)``.
 
     With unit average symbol energy the operating SNR is ``1 / variance``.
+    ``snr_db = +inf`` gives 0.0, i.e. noiseless; a variance that is NaN or
+    beyond the float range (``-inf`` dB or an overflow) is rejected.
     """
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance < 0 or not math.isfinite(self.variance):
-            raise InvalidParameterError(f"noise variance must be finite and >= 0, got {self.variance}")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
-        try:
-            return cls(10.0 ** (-snr_db / 10.0))
-        except OverflowError:  # the variance is beyond the float range
-            return cls(math.inf)
+    try:
+        variance = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # the variance is beyond the float range
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise InvalidParameterError(f"noise variance must be finite and >= 0, got {variance}")
+    return variance
 
 
 def draw_support(
@@ -184,12 +179,12 @@ def draw_channel_gaussian(
     return H
 
 
-def received_pilot(H: np.ndarray, S: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
+def received_pilot(H: np.ndarray, S: np.ndarray, sigma_w2: float, rng: np.random.Generator) -> np.ndarray:
     """Received training-phase signal ``H @ S^H`` plus white noise.
 
     ``H`` is an ``M x K`` channel and ``S`` the ``L x K`` pilot code.
-    Returns the ``M x L`` observation. A zero noise variance yields the exact
-    matrix product.
+    Returns the ``M x L`` observation. ``sigma_w2`` is the noise variance per
+    complex entry; zero yields the exact matrix product and draws nothing.
     """
     Hm = np.asarray(H)
     S = np.asarray(S)
@@ -197,13 +192,13 @@ def received_pilot(H: np.ndarray, S: np.ndarray, noise: NoiseSpec, rng: np.rando
         raise InvalidParameterError(
             f"channel ({Hm.shape}) and pilots ({S.shape}) must share a node count"
         )
-    return _observe(Hm, S.conj().T, noise, rng)
+    return _observe(Hm, S.conj().T, sigma_w2, rng)
 
 
 def received_data(
     H_active: np.ndarray,
     symbols: np.ndarray,
-    noise: NoiseSpec,
+    sigma_w2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Received data-phase signal ``H_active @ symbols`` plus white noise.
@@ -217,12 +212,14 @@ def received_data(
         raise InvalidParameterError(
             f"inner dimensions must agree, got {Hm.shape} and {D.shape}"
         )
-    return _observe(Hm, D, noise, rng)
+    return _observe(Hm, D, sigma_w2, rng)
 
 
-def _observe(A: np.ndarray, B: np.ndarray, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """``A @ B`` plus white noise of ``noise.variance``; none is drawn when it is zero."""
+def _observe(A: np.ndarray, B: np.ndarray, sigma_w2: float, rng: np.random.Generator) -> np.ndarray:
+    """``A @ B`` plus white noise of variance ``sigma_w2``; none is drawn when it is zero."""
+    if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"noise variance must be finite and >= 0, got {sigma_w2}")
     Y = A @ B
-    if noise.variance > 0:
-        Y = Y + complex_normal(rng, Y.shape, noise.variance)
+    if sigma_w2 > 0:
+        Y = Y + complex_normal(rng, Y.shape, sigma_w2)
     return Y

@@ -20,11 +20,6 @@ from .errors import ConditionViolatedError, InvalidParameterError
 
 __all__ = [
     "BoundInputs",
-    "LassoConstants",
-    "ChernoffRate",
-    "Deltas",
-    "BoundReport",
-    "PowerFloorCheck",
     "lasso_constants",
     "chernoff_power_rate",
     "deltas",
@@ -81,45 +76,8 @@ class BoundInputs:
             )
 
 
-@dataclass(frozen=True)
-class LassoConstants:
-    c1: float
-    c2: float
-
-
-@dataclass(frozen=True)
-class ChernoffRate:
-    beta: float
-    t0: float
-
-
-@dataclass(frozen=True)
-class Deltas:
-    delta1: float
-    delta2: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of a full bound evaluation; ``vacuous`` means no usable gamma."""
-
-    constants: LassoConstants
-    beta_min: float | None
-    delta1: float | None
-    delta2: float | None
-    gamma: float | None
-    bound: float
-    vacuous: bool
-
-
-@dataclass(frozen=True)
-class PowerFloorCheck:
-    empirical_prob: float
-    bound: float
-
-
-def lasso_constants(lam: float, mu: float, D: int) -> LassoConstants:
-    """Event thresholds controlling exact support recovery.
+def lasso_constants(lam: float, mu: float, D: int) -> tuple[float, float]:
+    """Event thresholds ``(c1, c2)`` controlling exact support recovery.
 
     ``c1`` caps the tolerable perturbation norm, ``c2`` floors the smallest
     empirical active-channel power. Valid while ``1 + mu^2 - mu^2 D > 0``.
@@ -138,10 +96,10 @@ def lasso_constants(lam: float, mu: float, D: int) -> LassoConstants:
         )
     c1 = lam * (1.0 + mu2 - 2.0 * mu2 * D) / denom
     c2 = lam * (2.0 * (1.0 + mu2) - 3.0 * mu2 * D) / (denom * denom)
-    return LassoConstants(c1, c2)
+    return c1, c2
 
 
-def chernoff_power_rate(C: float, sigma_min2: float) -> ChernoffRate:
+def chernoff_power_rate(C: float, sigma_min2: float) -> float:
     """Best Chernoff rate for ``P( mean of M squared Gaussians > C )``.
 
     Maximizes ``exp(-2 t C / sigma_min2) (1 + 2 t)`` over ``t > 0``; the
@@ -156,11 +114,11 @@ def chernoff_power_rate(C: float, sigma_min2: float) -> ChernoffRate:
         )
     t0 = 0.5 * (sigma_min2 / C - 1.0)
     best = math.exp(-2.0 * t0 * C / sigma_min2) * (1.0 + 2.0 * t0)
-    return ChernoffRate(math.sqrt(best), t0)
+    return math.sqrt(best)
 
 
-def deltas(inputs: BoundInputs, C1: float, C2: float) -> Deltas:
-    """Concentration exponents for the two cross-term fluctuations.
+def deltas(inputs: BoundInputs, C1: float, C2: float) -> tuple[float, float]:
+    """Concentration exponents ``(delta1, delta2)`` for the two cross-term fluctuations.
 
     ``C1 + C2`` must split ``c1 / L``; ``delta1`` covers channel cross terms
     (scaled by the squared pilot sup-norm and the number of active pairs),
@@ -172,7 +130,7 @@ def deltas(inputs: BoundInputs, C1: float, C2: float) -> Deltas:
         )
     if C1 <= 0 or C2 <= 0:
         raise InvalidParameterError(f"C1 and C2 must be positive, got {C1}, {C2}")
-    c1 = lasso_constants(inputs.lam, inputs.mu, inputs.D).c1
+    c1, _ = lasso_constants(inputs.lam, inputs.mu, inputs.D)
     target = c1 / inputs.L
     if not math.isclose(C1 + C2, target, rel_tol=1e-9, abs_tol=1e-15):
         raise ConditionViolatedError(
@@ -184,7 +142,7 @@ def deltas(inputs: BoundInputs, C1: float, C2: float) -> Deltas:
     pair2 = inputs.sigma_w_max_1 * inputs.sigma_w_max_2
     delta1 = t1 * t1 / (2.0 * pair1 * (2.0 * pair1 + t1))
     delta2 = t2 * t2 / (2.0 * pair2 * (2.0 * pair2 + t2))
-    return Deltas(delta1, delta2)
+    return delta1, delta2
 
 
 def recovery_bound(M: int, D: int, L: int, gamma: float) -> float:
@@ -196,32 +154,30 @@ def recovery_bound(M: int, D: int, L: int, gamma: float) -> float:
     return max(0.0, 1.0 - (D + 4.0 * L * L) * gamma ** (-M))
 
 
-def evaluate_recovery_bound(inputs: BoundInputs) -> BoundReport:
+def evaluate_recovery_bound(inputs: BoundInputs) -> float:
     """End-to-end bound evaluation for one configuration.
 
     ``c1/L`` is split evenly between the two cross-term budgets
     (``C1 = _SPLIT * c1/L``). The rate is ``gamma = 0.99 * min(beta_min,
     exp(delta1), exp(delta2))``, the 0.99 keeping the strict inequality. If
     the hypotheses fail (``c2 >= sigma_min2``, nonpositive ``c1``, or
-    ``gamma <= 1``) the bound is reported vacuous with value 0.
+    ``gamma <= 1``) the bound is vacuous and 0.0 is returned.
     """
-    constants = lasso_constants(inputs.lam, inputs.mu, inputs.D)
-    if constants.c1 <= 0 or constants.c2 <= 0 or constants.c2 >= inputs.sigma_min2:
-        return BoundReport(constants, None, None, None, None, 0.0, True)
-    beta_min = chernoff_power_rate(constants.c2, inputs.sigma_min2).beta
-    if inputs.D >= 2:
-        target = constants.c1 / inputs.L
-        d = deltas(inputs, _SPLIT * target, (1.0 - _SPLIT) * target)
-        delta1, delta2 = d.delta1, d.delta2
-        gamma = 0.99 * min(beta_min, math.exp(delta1), math.exp(delta2))
-    else:
-        # no channel cross terms exist for a single active node
-        delta1 = delta2 = None
-        gamma = 0.99 * beta_min
+    c1, c2 = lasso_constants(inputs.lam, inputs.mu, inputs.D)
+    if c1 <= 0 or c2 <= 0 or c2 >= inputs.sigma_min2:
+        return 0.0
+    rate = chernoff_power_rate(c2, inputs.sigma_min2)
+    if inputs.D >= 2:  # a single active node has no channel cross terms
+        target = c1 / inputs.L
+        for delta in deltas(inputs, _SPLIT * target, (1.0 - _SPLIT) * target):
+            try:
+                rate = min(rate, math.exp(delta))
+            except OverflowError:  # exp(delta) is beyond the float range, so above beta
+                pass
+    gamma = 0.99 * rate
     if gamma <= 1.0:
-        return BoundReport(constants, beta_min, delta1, delta2, None, 0.0, True)
-    bound = recovery_bound(inputs.M, inputs.D, inputs.L, gamma)
-    return BoundReport(constants, beta_min, delta1, delta2, gamma, bound, bound == 0.0)
+        return 0.0
+    return recovery_bound(inputs.M, inputs.D, inputs.L, gamma)
 
 
 def empirical_power_floor_check(
@@ -230,17 +186,17 @@ def empirical_power_floor_check(
     M: int,
     trials: int,
     rng: np.random.Generator,
-) -> PowerFloorCheck:
+) -> tuple[float, float]:
     """Monte Carlo validation of the Chernoff floor on empirical power.
 
     Draws ``trials`` batches of ``M`` real zero-mean Gaussians with variance
-    ``sigma_min2`` and compares ``P(mean square > C)`` against
-    ``1 - beta^(-M)``. Raises if the empirical estimate falls more than
-    three binomial standard errors below the floor.
+    ``sigma_min2`` and returns ``(empirical, bound)``: the estimate of
+    ``P(mean square > C)`` and the floor ``1 - beta^(-M)``. Raises if the
+    estimate falls more than three binomial standard errors below the floor.
     """
     if M < 1 or trials < 1:
         raise InvalidParameterError(f"M and trials must be >= 1, got {M}, {trials}")
-    beta = chernoff_power_rate(C, sigma_min2).beta
+    beta = chernoff_power_rate(C, sigma_min2)
     bound = 1.0 - beta ** (-M)
     samples = rng.standard_normal((trials, M)) * math.sqrt(sigma_min2)
     empirical = float(np.mean(np.mean(samples**2, axis=1) > C))
@@ -250,4 +206,4 @@ def empirical_power_floor_check(
             f"empirical probability {empirical:.6f} fell below the floor "
             f"{bound:.6f} by more than {margin:.6f}"
         )
-    return PowerFloorCheck(empirical, bound)
+    return empirical, bound

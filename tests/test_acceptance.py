@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from gfdetect.detect import (
-    LassoOptions,
     build_smv,
     detect_activity,
     kkt_residual,
@@ -30,7 +29,6 @@ from gfdetect.link import (
     symbol_error_rate,
 )
 from gfdetect.model import (
-    NoiseSpec,
     derive_rng,
     draw_channel_gaussian,
     draw_support,
@@ -232,21 +230,21 @@ def test_criterion_06_recovery_floor_consistency():
 
 def test_criterion_07_power_floor_check():
     start = time.perf_counter()
-    out = empirical_power_floor_check(0.5, 1.0, 64, 10_000, derive_rng(SEED, 7))
-    beta = chernoff_power_rate(0.5, 1.0).beta
+    empirical, floor = empirical_power_floor_check(0.5, 1.0, 64, 10_000, derive_rng(SEED, 7))
+    beta = chernoff_power_rate(0.5, 1.0)
     elapsed = time.perf_counter() - start
-    margin = 3 * math.sqrt(out.bound * (1 - out.bound) / 10_000)
+    margin = 3 * math.sqrt(floor * (1 - floor) / 10_000)
     failures = []
     if not abs(beta - 1.1014) < 1e-4:
         failures.append(f"rate {beta:.6f} is not 1.1014 +- 1e-4")
-    if not abs(out.bound - 0.9980) < 1e-4:
-        failures.append(f"floor {out.bound:.6f} is not 0.9980 +- 1e-4")
-    if not out.empirical_prob >= out.bound - margin:
-        failures.append(f"empirical {out.empirical_prob:.4f} < floor {out.bound:.4f} - 3 sigma {margin:.4f}")
+    if not abs(floor - 0.9980) < 1e-4:
+        failures.append(f"floor {floor:.6f} is not 0.9980 +- 1e-4")
+    if not empirical >= floor - margin:
+        failures.append(f"empirical {empirical:.4f} < floor {floor:.4f} - 3 sigma {margin:.4f}")
     if elapsed >= 5.0:
         failures.append(f"took {elapsed:.1f}s, over the 5s budget")
     ok = not failures
-    report(7, ok, f"power floor: rate {beta:.4f}, floor {out.bound:.4f}, empirical {out.empirical_prob:.4f}, {elapsed:.1f}s"
+    report(7, ok, f"power floor: rate {beta:.4f}, floor {floor:.4f}, empirical {empirical:.4f}, {elapsed:.1f}s"
            + (f"; violations: {failures}" if failures else ""))
     assert ok, failures
 
@@ -260,15 +258,15 @@ def test_criterion_08_noiseless_end_to_end():
         D = max(1, max_identifiable_support(mutual_coherence(S)))
         sup = draw_support(64, rng, size=D)
         H = draw_channel_gaussian(1024, sup, rng)
-        Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
-        res = detect_activity(Y_p, S, 0.0, LassoOptions(known_sparsity=D))
+        Y_p = received_pilot(H, S, 0.0, rng)
+        res = detect_activity(Y_p, S, 0.0, known_sparsity=D)
         if res.support_hat != sup:
             failures.append(f"seed {seed}: support {res.support_hat.indices} != {sup.indices}")
             continue
         H_hat = ls_channel_estimate(Y_p, S[:, list(sup.indices)])
         mse = channel_mse(H[:, list(sup.indices)], H_hat)
         symbols = draw_symbols((D, 40), rng)
-        Y_d = received_data(H[:, list(sup.indices)], symbols, NoiseSpec(0.0), rng)
+        Y_d = received_data(H[:, list(sup.indices)], symbols, 0.0, rng)
         decided = demodulate(ls_data_decode(Y_d, H_hat))
         true = np.zeros((64, 40), complex)
         est = np.zeros((64, 40), complex)
@@ -296,10 +294,10 @@ def test_criterion_09_solver_kkt():
         A = (rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))) / math.sqrt(2)
         x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2)
         lam = 0.1 * float(np.max(np.abs(A.conj().T @ x)))
-        res = nn_lasso(A, x, LassoOptions(lam=lam, max_iterations=20000, objective_tolerance=0.0))
+        res = nn_lasso(A, x, lam=lam, max_iterations=20000, objective_tolerance=0.0)
         worst = max(worst, kkt_residual(A, x, res.r_hat, lam))
     x0 = np.abs(derive_rng(SEED, 90).standard_normal(12))
-    closed = nn_lasso(np.eye(12), x0, LassoOptions(lam=0.1, max_iterations=5000, objective_tolerance=0.0))
+    closed = nn_lasso(np.eye(12), x0, lam=0.1, max_iterations=5000, objective_tolerance=0.0)
     closed_gap = float(np.max(np.abs(closed.r_hat - np.maximum(x0 - 0.1, 0.0))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and closed_gap < 1e-8
@@ -349,7 +347,7 @@ def test_criterion_10_brute_force_oracle():
 
         sup = Support(combo, K)
         H = draw_channel_gaussian(2048, sup, rng)
-        Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y_p = received_pilot(H, S, 0.0, rng)
         A, x = build_smv(sample_covariance(Y_p), S, 0.0)
         best = (np.inf, 0, ())
         for size in range(3):
@@ -357,7 +355,7 @@ def test_criterion_10_brute_force_oracle():
                 key = (_nnls_small(A, x, list(candidate)), size, candidate)
                 if key < best:
                     best = key
-        detected = detect_activity(Y_p, S, 0.0, LassoOptions(known_sparsity=2)).support_hat
+        detected = detect_activity(Y_p, S, 0.0, known_sparsity=2).support_hat
         if tuple(detected.indices) != best[2]:
             failures.append(f"{combo}: exhaustive {best[2]} vs detector {detected.indices}")
     elapsed = time.perf_counter() - start

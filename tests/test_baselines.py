@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gfdetect.baselines import MmvProblem, _snapshot_factor, bomp, mfocuss, msbl
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
-    NoiseSpec,
     derive_rng,
     draw_channel_gaussian,
     draw_support,
+    noise_variance,
     received_pilot,
 )
 from gfdetect.pilots import gen_gaussian_dictionary
@@ -23,9 +23,9 @@ def make_problem(seed, D, snr_db, M=32, K=64, L=20):
     S = gen_gaussian_dictionary(L, K, rng)
     sup = draw_support(K, rng, size=D)
     H = draw_channel_gaussian(M, sup, rng)
-    noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
-    Y_p = received_pilot(H, S, noise, rng)
-    return MmvProblem.from_received_pilot(Y_p, S, noise.variance), sup
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    Y_p = received_pilot(H, S, sigma_w2, rng)
+    return MmvProblem.from_received_pilot(Y_p, S, sigma_w2), sup
 
 
 def orthonormal_problem(seed, D, K=8):
@@ -34,7 +34,7 @@ def orthonormal_problem(seed, D, K=8):
     S = q
     sup = draw_support(K, rng, size=D)
     H = draw_channel_gaussian(16, sup, rng)
-    Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+    Y_p = received_pilot(H, S, 0.0, rng)
     return MmvProblem.from_received_pilot(Y_p, S, 0.0), sup
 
 
@@ -44,7 +44,7 @@ class TestMsbl:
         S = gen_gaussian_dictionary(20, 64, rng)
         sup = draw_support(64, rng, size=1)
         H = draw_channel_gaussian(32, sup, rng)
-        Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y_p = received_pilot(H, S, 0.0, rng)
         problem = MmvProblem.from_received_pilot(Y_p, S, 0.0)
         assert msbl(problem) == sup
 
@@ -100,7 +100,7 @@ class TestMfocuss:
         S = gen_gaussian_dictionary(20, 64, rng)
         sup = draw_support(64, rng, size=1)
         H = draw_channel_gaussian(32, sup, rng)
-        Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y_p = received_pilot(H, S, 0.0, rng)
         problem = MmvProblem.from_received_pilot(Y_p, S, 0.0)
         assert mfocuss(problem) == sup
 
@@ -122,7 +122,7 @@ class TestSharedBehavior:
 
                 sup = Support(idx, K)
                 H = draw_channel_gaussian(16, sup, rng)
-                Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+                Y_p = received_pilot(H, S, 0.0, rng)
                 problem = MmvProblem.from_received_pilot(Y_p, S, 0.0)
                 assert bomp(problem, D) == sup
                 assert msbl(problem, D_known=D) == sup
@@ -230,11 +230,11 @@ def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, d
     rng = derive_rng(seed, 26)
     S = gen_gaussian_dictionary(L, K, rng)
     H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
-    noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
-    Y = received_pilot(H, S, noise, rng).conj().T
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    Y = received_pilot(H, S, sigma_w2, rng).conj().T
     U, _ = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
-    mixed = MmvProblem(Y @ U, S, noise.variance)
-    problem = MmvProblem(Y, S, noise.variance)
+    mixed = MmvProblem(Y @ U, S, sigma_w2)
+    problem = MmvProblem(Y, S, sigma_w2)
     assert msbl(mixed) == msbl(problem)
     assert bomp(mixed, D) == bomp(problem, D)
     assert mfocuss(mixed) == mfocuss(problem)
@@ -246,7 +246,7 @@ def test_bomp_stops_at_a_zero_residual():
     rng = derive_rng(7, 27)
     S = gen_gaussian_dictionary(2, 4, rng)
     H = draw_channel_gaussian(1, draw_support(4, rng, size=3), rng)
-    Y = received_pilot(H, S, NoiseSpec(0.0), rng).conj().T
+    Y = received_pilot(H, S, 0.0, rng).conj().T
     support = bomp(MmvProblem(Y, S, 0.0), 3)
     assert support.size <= 2
     assert bomp(MmvProblem(1j * Y, S, 0.0), 3) == support

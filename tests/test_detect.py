@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gfdetect.detect import (
-    LassoOptions,
     build_smv,
     default_penalty,
     detect_activity,
@@ -15,7 +14,6 @@ from gfdetect.detect import (
 )
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
-    NoiseSpec,
     complex_normal,
     derive_rng,
     draw_channel_gaussian,
@@ -126,13 +124,13 @@ class TestNnLasso:
         A = complex_normal(rng, (12, 6))
         x = complex_normal(rng, 12)
         lam = float(np.max(np.abs((A.conj().T @ x).real))) * 1.001
-        res = nn_lasso(A, x, LassoOptions(lam=lam))
+        res = nn_lasso(A, x, lam=lam)
         assert not res.r_hat.any()
         assert res.support_hat.indices == ()
 
     def test_identity_soft_threshold_closed_form(self):
         x = np.array([0.5, 0.05, 0.3, 0.0, 1.0])
-        res = nn_lasso(np.eye(5), x, LassoOptions(lam=0.1, max_iterations=5000, objective_tolerance=0.0))
+        res = nn_lasso(np.eye(5), x, lam=0.1, max_iterations=5000, objective_tolerance=0.0)
         assert np.max(np.abs(res.r_hat - np.maximum(x - 0.1, 0.0))) < 1e-8
 
     def test_noiseless_coherence_limited_recovery(self):
@@ -143,14 +141,14 @@ class TestNnLasso:
         r_true[true] = rng.uniform(0.5, 2.0, size=3)
         A = khatri_rao_dictionary(S)
         x = A @ r_true
-        res = nn_lasso(A, x, LassoOptions(lam=1e-6, known_sparsity=3, max_iterations=5000))
+        res = nn_lasso(A, x, lam=1e-6, known_sparsity=3, max_iterations=5000)
         assert list(res.support_hat.indices) == true
 
     def test_objective_monotone_non_increasing(self):
         rng = derive_rng(7)
         A = complex_normal(rng, (30, 12))
         x = complex_normal(rng, 30)
-        res = nn_lasso(A, x, LassoOptions(lam=0.05, max_iterations=500))
+        res = nn_lasso(A, x, lam=0.05, max_iterations=500)
         diffs = np.diff(res.objective_history)
         assert np.all(diffs <= 1e-12 * np.abs(res.objective_history[:-1]).max())
 
@@ -160,18 +158,26 @@ class TestNnLasso:
             A = complex_normal(rng, (24, 10))
             x = complex_normal(rng, 24)
             lam = 0.1 * float(np.max(np.abs(A.conj().T @ x)))
-            res = nn_lasso(A, x, LassoOptions(lam=lam, max_iterations=20000, objective_tolerance=0.0))
+            res = nn_lasso(A, x, lam=lam, max_iterations=20000, objective_tolerance=0.0)
             assert kkt_residual(A, x, res.r_hat, lam) < 1e-4
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
-            nn_lasso(np.array([[np.inf]]), np.array([1.0]), LassoOptions(lam=0.1))
+            nn_lasso(np.array([[np.inf]]), np.array([1.0]), lam=0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=-0.1), dict(lam=float("nan")), dict(lam=float("inf")), dict(max_iterations=0),
+        dict(objective_tolerance=-1.0), dict(objective_tolerance=float("nan")),
+    ])
+    def test_rejects_out_of_range_settings(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            nn_lasso(np.eye(2), np.ones(2), **kwargs)
 
     def test_non_convergence_flagged(self):
         rng = derive_rng(9)
         A = complex_normal(rng, (20, 8))
         x = complex_normal(rng, 20)
-        res = nn_lasso(A, x, LassoOptions(lam=1e-8, max_iterations=2, objective_tolerance=0.0))
+        res = nn_lasso(A, x, lam=1e-8, max_iterations=2, objective_tolerance=0.0)
         assert not res.converged
 
     def test_default_penalty_scales_with_snapshots(self):
@@ -179,12 +185,6 @@ class TestNnLasso:
         A = complex_normal(rng, (16, 5))
         x = complex_normal(rng, 16)
         assert default_penalty(A, x, 400) == pytest.approx(default_penalty(A, x, 100) / 2)
-
-
-class TestLassoOptions:
-    def test_rejects_nan_objective_tolerance(self):
-        with pytest.raises(InvalidParameterError):
-            LassoOptions(objective_tolerance=float("nan"))
 
 
 class TestExtractSupport:
@@ -224,8 +224,8 @@ class TestDetectActivity:
         S = gen_gaussian_dictionary(20, 64, rng)
         sup = draw_support(64, rng, size=5)
         H = draw_channel_gaussian(8192, sup, rng)
-        Y = received_pilot(H, S, NoiseSpec(0.0), rng)
-        res = detect_activity(Y, S, 0.0, LassoOptions(known_sparsity=5))
+        Y = received_pilot(H, S, 0.0, rng)
+        res = detect_activity(Y, S, 0.0, known_sparsity=5)
         assert res.support_hat == sup
 
     def test_single_snapshot_unreliable(self):
@@ -236,8 +236,8 @@ class TestDetectActivity:
             S = gen_gaussian_dictionary(20, 64, rng)
             sup = draw_support(64, rng, size=10)
             H = draw_channel_gaussian(1, sup, rng)
-            Y = received_pilot(H, S, NoiseSpec(1.0), rng)
-            res = detect_activity(Y, S, 1.0, LassoOptions(known_sparsity=10))
+            Y = received_pilot(H, S, 1.0, rng)
+            res = detect_activity(Y, S, 1.0, known_sparsity=10)
             hits += res.support_hat == sup
         assert hits / 30 < 0.5
 
@@ -250,7 +250,7 @@ class TestDetectActivity:
                 S = gen_gaussian_dictionary(8, 16, rng)
                 sup = draw_support(16, rng, size=4)
                 H = draw_channel_gaussian(M, sup, rng)
-                Y = received_pilot(H, S, NoiseSpec(0.5), rng)
+                Y = received_pilot(H, S, 0.5, rng)
                 A, x = build_smv(sample_covariance(Y), S, 0.5)
                 r_exact = np.zeros(16)
                 cols = H[:, list(sup.indices)]
@@ -267,8 +267,8 @@ class TestDetectActivity:
         S = gen_gaussian_dictionary(4, 12, rng)
         sup = draw_support(12, rng, size=2)
         H = draw_channel_gaussian(4096, sup, rng)
-        Y = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y = received_pilot(H, S, 0.0, rng)
         A, x = build_smv(sample_covariance(Y), S, 0.0)
         oracle = brute_force_support(A, x, 2)
-        res = detect_activity(Y, S, 0.0, LassoOptions(known_sparsity=2))
+        res = detect_activity(Y, S, 0.0, known_sparsity=2)
         assert tuple(res.support_hat.indices) == tuple(oracle) == sup.indices

@@ -48,6 +48,8 @@ class TestConfigValidation:
         nan = float("nan")
         for bad in (
             dict(trials=0),
+            dict(seed=-1),  # SeedSequence takes no negative entropy
+            dict(lam=-0.1),
             dict(D=100),
             dict(sweep_axis="frequency"),
             dict(snr_db=nan),
@@ -78,9 +80,15 @@ class TestSweepParsing:
         assert values == (2.0, 4.0, 6.0)
 
     def test_bad_specs(self):
-        for spec in ("volume:1:1:5", "snr:1:0:5", "snr:", "snr:5:1:1", "snr:1:2:3:4:5"):
+        for spec in ("volume:1:1:5", "snr:1:0:5", "snr:", "snr:5:1:1", "snr:1:2:3:4:5",
+                     "snr:-inf:1:0", "snr:0:inf:10", "snr:0:1:nan"):
             with pytest.raises(ConfigError):
                 parse_sweep(spec)
+
+    def test_infinite_snr_value_is_noiseless(self):
+        axis, values = parse_sweep("snr:inf")
+        assert (axis, values) == ("snr", (float("inf"),))
+        quick_config(sweep_axis=axis, sweep_values=values).validate()
 
 
 class TestConfigFile:
@@ -228,6 +236,14 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert rows[0].bound is not None and 0.0 <= rows[0].bound <= 1.0
 
+    def test_bound_at_high_snr(self):
+        # the noise exponent exp(delta2) is beyond the float range here
+        cfg = quick_config(
+            K=10, L=8, D=2, M=512, snr_db=50.0, lam=0.3, seed=7,
+            redraw_pilots=False, compute_bound=True, trials=1,
+        )
+        assert 0.0 <= run_sweep(cfg)[0].bound <= 1.0
+
     def test_bound_skipped_when_hypothesis_fails(self):
         # coherence too high for D=2: the bound column stays empty
         cfg = quick_config(
@@ -328,6 +344,9 @@ class TestCli:
         ["--sweep", "sparsity:2.5"],
         ["--sweep", "antennas:0"],
         ["--sweep", "snr:nan"],
+        ["--seed", "-1"],
+        ["--sweep", "snr:-inf:1:0"],
+        ["--sweep", "snr:0:inf:10"],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
         assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2

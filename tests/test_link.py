@@ -16,11 +16,11 @@ from gfdetect.link import (
     symbol_error_rate,
 )
 from gfdetect.model import (
-    NoiseSpec,
     Support,
     complex_normal,
     derive_rng,
     draw_channel_gaussian,
+    noise_variance,
     received_data,
     received_pilot,
 )
@@ -240,9 +240,9 @@ class TestEndToEnd:
         sup = Support((2, 7, 20), 24)
         active = list(sup.indices)
         H = draw_channel_gaussian(16, sup, rng)
-        Y_p = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y_p = received_pilot(H, S, 0.0, rng)
         symbols = draw_symbols((3, 10), rng)
-        Y_d = received_data(H[:, active], symbols, NoiseSpec(0.0), rng)
+        Y_d = received_data(H[:, active], symbols, 0.0, rng)
 
         H_hat = ls_channel_estimate(Y_p, S[:, active])
         assert channel_mse(H[:, active], H_hat) < 1e-16
@@ -256,7 +256,7 @@ class TestEndToEnd:
     def test_genie_channel_lower_bounds_estimated(self):
         # with the true channel available, decoding can only get better
         rng = derive_rng(12, 31)
-        noise = NoiseSpec.from_snr_db(0.0)
+        sigma_w2 = noise_variance(0.0)
         worse = better = 0.0
         trials = 500
         for _ in range(trials):
@@ -264,9 +264,9 @@ class TestEndToEnd:
             sup = Support((1, 9), 16)
             active = list(sup.indices)
             H = draw_channel_gaussian(24, sup, rng)
-            Y_p = received_pilot(H, S, noise, rng)
+            Y_p = received_pilot(H, S, sigma_w2, rng)
             symbols = draw_symbols((2, 4), rng)
-            Y_d = received_data(H[:, active], symbols, noise, rng)
+            Y_d = received_data(H[:, active], symbols, sigma_w2, rng)
             true = np.zeros((16, 4), complex)
             true[active] = symbols
 

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
-    NoiseSpec,
     Support,
     complex_normal,
     derive_rng,
     draw_channel_gaussian,
     draw_channel_ula,
     draw_support,
+    noise_variance,
     received_data,
     received_pilot,
     steering_vector,
@@ -159,14 +159,14 @@ class TestReceivedSignals:
     def test_zero_channel_zero_noise(self):
         H = np.zeros((3, 4), dtype=complex)
         S = np.ones((2, 4), dtype=complex)
-        Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
+        Y = received_pilot(H, S, 0.0, derive_rng(0))
         assert not Y.any()
 
     def test_noiseless_is_exact_product(self):
         rng = derive_rng(10)
         H = complex_normal(rng, (5, 6))
         S = complex_normal(rng, (4, 6))
-        Y = received_pilot(H, S, NoiseSpec(0.0), rng)
+        Y = received_pilot(H, S, 0.0, rng)
         assert np.max(np.abs(Y - H @ S.conj().T)) < 1e-12
 
     def test_hand_multiplication_oracle(self):
@@ -179,27 +179,27 @@ class TestReceivedSignals:
                 [H[1, 0] * 1 + H[1, 1] * (-1j), H[1, 0] * (-2j) + H[1, 1] * 1],
             ]
         )
-        Y = received_pilot(H, S, NoiseSpec(0.0), derive_rng(0))
+        Y = received_pilot(H, S, 0.0, derive_rng(0))
         assert np.max(np.abs(Y - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            received_pilot(np.zeros((3, 4)), np.zeros((2, 5)), NoiseSpec(0.0), derive_rng(0))
+            received_pilot(np.zeros((3, 4)), np.zeros((2, 5)), 0.0, derive_rng(0))
 
     def test_received_data_pure_noise_variance(self):
         rng = derive_rng(11)
-        Y = received_data(np.zeros((200, 3), complex), np.zeros((3, 200), complex), NoiseSpec(0.25), rng)
+        Y = received_data(np.zeros((200, 3), complex), np.zeros((3, 200), complex), 0.25, rng)
         assert abs(np.mean(np.abs(Y) ** 2) - 0.25) < 0.01
 
     def test_received_data_noiseless_identity(self):
         rng = derive_rng(12)
         H = complex_normal(rng, (6, 3))
-        Y = received_data(H, np.eye(3, dtype=complex), NoiseSpec(0.0), rng)
+        Y = received_data(H, np.eye(3, dtype=complex), 0.0, rng)
         assert np.allclose(Y, H)
 
     def test_received_data_single_node(self):
         H = np.array([[2.0], [1j]])
-        Y = received_data(H, np.array([[3.0]]), NoiseSpec(0.0), derive_rng(0))
+        Y = received_data(H, np.array([[3.0]]), 0.0, derive_rng(0))
         assert np.allclose(Y, 3 * H)
 
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), L=st.integers(1, 8),
@@ -208,21 +208,38 @@ class TestReceivedSignals:
         rng = derive_rng(seed, 13)
         H = complex_normal(rng, (M, K))
         S = complex_normal(rng, (L, K))
-        noise = NoiseSpec(variance)
-        Y_p = received_pilot(H, S, noise, derive_rng(seed, 14))
-        Y_d = received_data(H, S.conj().T, noise, derive_rng(seed, 14))
+        Y_p = received_pilot(H, S, variance, derive_rng(seed, 14))
+        Y_d = received_data(H, S.conj().T, variance, derive_rng(seed, 14))
         assert np.array_equal(Y_p, Y_d)
 
 
-class TestNoiseSpec:
+class TestNoiseVariance:
     def test_snr_mapping(self):
-        assert NoiseSpec.from_snr_db(0.0).variance == 1.0
-        assert np.isclose(NoiseSpec.from_snr_db(10.0).variance, 0.1)
-        assert NoiseSpec.from_snr_db(-10.0).variance == pytest.approx(10.0)
+        assert noise_variance(0.0) == 1.0
+        assert np.isclose(noise_variance(10.0), 0.1)
+        assert noise_variance(-10.0) == pytest.approx(10.0)
 
-    def test_rejects_negative(self):
+    def test_infinite_snr_is_noiseless(self):
+        assert noise_variance(float("inf")) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan"), -4000.0])
+    def test_rejects_unrepresentable_variance(self, snr_db):
         with pytest.raises(InvalidParameterError):
-            NoiseSpec(-1.0)
+            noise_variance(snr_db)
+
+    @pytest.mark.parametrize("sigma_w2", [-1.0, float("inf"), float("nan")])
+    def test_observation_rejects_bad_variance(self, sigma_w2):
+        with pytest.raises(InvalidParameterError):
+            received_pilot(np.ones((3, 2)), np.ones((4, 2)), sigma_w2, derive_rng(0))
+
+    def test_zero_variance_is_exact_and_draws_nothing(self):
+        rng = derive_rng(15)
+        H = complex_normal(rng, (5, 6))
+        S = complex_normal(rng, (4, 6))
+        state = rng.bit_generator.state
+        Y = received_pilot(H, S, 0.0, rng)
+        assert np.array_equal(Y, H @ S.conj().T)
+        assert rng.bit_generator.state == state
 
 
 class TestDeterminism:
@@ -232,7 +249,7 @@ class TestDeterminism:
             s = draw_support(16, rng, size=3)
             H = draw_channel_gaussian(8, s, rng)
             S = complex_normal(derive_rng(seed, 5), (4, 16))
-            return received_pilot(H, S, NoiseSpec(0.5), rng)
+            return received_pilot(H, S, 0.5, rng)
 
         a, b = draw(123), draw(123)
         assert np.array_equal(a, b)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gfdetect.errors import ConditionViolatedError, InvalidParameterError
 from gfdetect.model import derive_rng
@@ -31,21 +33,20 @@ def golden_section_max(f, lo, hi, iters=200):
 
 class TestLassoConstants:
     def test_zero_coherence(self):
-        c = lasso_constants(1.0, 0.0, 5)
-        assert c.c1 == pytest.approx(1.0)
-        assert c.c2 == pytest.approx(2.0)
+        c1, c2 = lasso_constants(1.0, 0.0, 5)
+        assert c1 == pytest.approx(1.0)
+        assert c2 == pytest.approx(2.0)
 
     def test_zero_numerator(self):
         # D chosen so 1 + mu^2 - 2 mu^2 D = 0
         mu = 0.5
         D = int((1 + mu**2) / (2 * mu**2))  # = 2.5 -> not integer; use mu with integer root
         mu = math.sqrt(1.0 / 3.0)  # 1 + 1/3 - 2*(1/3)*2 = 0 at D = 2
-        c = lasso_constants(1.0, mu, 2)
-        assert c.c1 == pytest.approx(0.0, abs=1e-12)
+        c1, _ = lasso_constants(1.0, mu, 2)
+        assert c1 == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_penalty(self):
-        c = lasso_constants(0.0, 0.3, 3)
-        assert c.c1 == 0.0 and c.c2 == 0.0
+        assert lasso_constants(0.0, 0.3, 3) == (0.0, 0.0)
 
     def test_c1_below_lambda(self):
         rng = derive_rng(0, 41)
@@ -53,8 +54,8 @@ class TestLassoConstants:
             lam = float(rng.uniform(0.01, 2.0))
             mu = float(rng.uniform(0.05, 0.6))
             D = int(rng.integers(1, max(2, int(0.5 * (1 + 1 / mu**2)))))
-            c = lasso_constants(lam, mu, D)
-            assert c.c1 < lam + 1e-12
+            c1, _ = lasso_constants(lam, mu, D)
+            assert c1 < lam + 1e-12
 
     def test_denominator_guard(self):
         with pytest.raises(ConditionViolatedError):
@@ -63,20 +64,19 @@ class TestLassoConstants:
 
 class TestChernoffRate:
     def test_reference_point(self):
-        out = chernoff_power_rate(0.5, 1.0)
-        assert out.t0 == pytest.approx(0.5)
-        assert out.beta == pytest.approx(1.1014, abs=1e-4)
-        assert out.beta**2 == pytest.approx(2 * math.exp(-0.5), abs=1e-6)
+        beta = chernoff_power_rate(0.5, 1.0)
+        assert beta == pytest.approx(1.1014, abs=1e-4)
+        assert beta**2 == pytest.approx(2 * math.exp(-0.5), abs=1e-6)
 
     def test_boundary_approaches_one(self):
-        assert chernoff_power_rate(0.999999, 1.0).beta == pytest.approx(1.0, abs=1e-5)
+        assert chernoff_power_rate(0.999999, 1.0) == pytest.approx(1.0, abs=1e-5)
 
     def test_always_above_one(self):
         rng = derive_rng(1, 41)
         for _ in range(100):
             sigma2 = float(rng.uniform(0.1, 5.0))
             C = float(rng.uniform(0.01, 0.99)) * sigma2
-            assert chernoff_power_rate(C, sigma2).beta > 1.0
+            assert chernoff_power_rate(C, sigma2) > 1.0
 
     def test_closed_form_matches_numeric_maximum(self):
         for C, sigma2 in ((0.5, 1.0), (0.2, 1.0), (1.5, 2.0)):
@@ -84,10 +84,8 @@ class TestChernoffRate:
                 return math.exp(-2 * t * C / sigma2) * (1 + 2 * t)
 
             t_star = golden_section_max(rate, 1e-9, 50.0)
-            out = chernoff_power_rate(C, sigma2)
             # the maximum is flat, so compare in value space at full precision
-            assert out.t0 == pytest.approx(t_star, abs=1e-6)
-            assert math.sqrt(rate(t_star)) == pytest.approx(out.beta, abs=1e-8)
+            assert math.sqrt(rate(t_star)) == pytest.approx(chernoff_power_rate(C, sigma2), abs=1e-8)
 
     def test_hypothesis_guard(self):
         with pytest.raises(ConditionViolatedError):
@@ -115,24 +113,24 @@ def make_inputs(**overrides):
 class TestDeltas:
     def test_positive(self):
         inputs = make_inputs()
-        target = lasso_constants(inputs.lam, inputs.mu, inputs.D).c1 / inputs.L
-        d = deltas(inputs, 0.5 * target, 0.5 * target)
-        assert d.delta1 > 0 and d.delta2 > 0
+        target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
+        delta1, delta2 = deltas(inputs, 0.5 * target, 0.5 * target)
+        assert delta1 > 0 and delta2 > 0
 
     def test_monotone_in_first_budget(self):
         inputs = make_inputs()
-        target = lasso_constants(inputs.lam, inputs.mu, inputs.D).c1 / inputs.L
-        small = deltas(inputs, 0.3 * target, 0.7 * target).delta1
-        large = deltas(inputs, 0.6 * target, 0.4 * target).delta1
+        target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
+        small, _ = deltas(inputs, 0.3 * target, 0.7 * target)
+        large, _ = deltas(inputs, 0.6 * target, 0.4 * target)
         assert large > small
 
     def test_symmetric_in_sigma_pair(self):
         inputs_a = make_inputs(sigma_max_1=1.0, sigma_max_2=2.0)
         inputs_b = make_inputs(sigma_max_1=2.0, sigma_max_2=1.0)
-        target = lasso_constants(inputs_a.lam, inputs_a.mu, inputs_a.D).c1 / inputs_a.L
-        da = deltas(inputs_a, 0.5 * target, 0.5 * target)
-        db = deltas(inputs_b, 0.5 * target, 0.5 * target)
-        assert da.delta1 == pytest.approx(db.delta1)
+        target = lasso_constants(inputs_a.lam, inputs_a.mu, inputs_a.D)[0] / inputs_a.L
+        da, _ = deltas(inputs_a, 0.5 * target, 0.5 * target)
+        db, _ = deltas(inputs_b, 0.5 * target, 0.5 * target)
+        assert da == pytest.approx(db)
 
     def test_requires_valid_split(self):
         inputs = make_inputs()
@@ -142,7 +140,7 @@ class TestDeltas:
     def test_requires_pairs(self):
         with pytest.raises(ConditionViolatedError):
             inputs = make_inputs(D=1, mu=0.4)
-            target = lasso_constants(inputs.lam, inputs.mu, inputs.D).c1 / inputs.L
+            target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
             deltas(inputs, 0.5 * target, 0.5 * target)
 
 
@@ -169,34 +167,45 @@ class TestRecoveryBound:
 
 class TestEvaluateRecoveryBound:
     def test_usable_configuration(self):
-        report = evaluate_recovery_bound(make_inputs())
-        assert not report.vacuous
-        assert report.gamma is not None and report.gamma > 1.0
-        assert 0.5 < report.bound <= 1.0
+        assert 0.5 < evaluate_recovery_bound(make_inputs()) <= 1.0
 
     def test_vacuous_when_power_floor_unreachable(self):
-        report = evaluate_recovery_bound(make_inputs(lam=2.0))  # c2 > sigma_min2
-        assert report.vacuous and report.bound == 0.0
+        assert evaluate_recovery_bound(make_inputs(lam=2.0)) == 0.0  # c2 > sigma_min2
 
     def test_single_active_node_skips_cross_terms(self):
-        report = evaluate_recovery_bound(make_inputs(D=1, mu=0.4))
-        assert report.delta1 is None
-        assert report.beta_min is not None
+        inputs = make_inputs(D=1, mu=0.4)
+        _, c2 = lasso_constants(inputs.lam, inputs.mu, inputs.D)
+        gamma = 0.99 * chernoff_power_rate(c2, inputs.sigma_min2)
+        assert evaluate_recovery_bound(inputs) == recovery_bound(inputs.M, 1, inputs.L, gamma)
+
+    @given(lam=st.floats(0.01, 2.0), mu=st.floats(0.05, 0.7), D=st.integers(1, 12),
+           L=st.integers(2, 24), M=st.integers(1, 4096), extra=st.integers(1, 4096),
+           sigma_w=st.floats(0.01, 2.0), S_infnorm=st.floats(0.1, 2.0),
+           sigma_min2=st.floats(0.1, 3.0))
+    def test_bound_is_a_probability_nondecreasing_in_antennas(
+        self, lam, mu, D, L, M, extra, sigma_w, S_infnorm, sigma_min2
+    ):
+        D = min(D, math.ceil(0.5 * (1.0 + 1.0 / mu**2)) - 1)  # coherence hypothesis
+        common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w_max_1=sigma_w, sigma_w_max_2=sigma_w,
+                      S_infnorm=S_infnorm, sigma_min2=sigma_min2)
+        fewer = evaluate_recovery_bound(make_inputs(M=M, **common))
+        more = evaluate_recovery_bound(make_inputs(M=M + extra, **common))
+        assert 0.0 <= fewer <= more <= 1.0
 
 
 class TestEmpiricalPowerFloor:
     def test_reference_case(self):
-        out = empirical_power_floor_check(0.5, 1.0, 64, 10_000, derive_rng(2, 41))
-        assert out.bound == pytest.approx(0.99793, abs=2e-5)
-        assert out.empirical_prob >= out.bound - 3 * math.sqrt(out.bound * (1 - out.bound) / 10_000)
+        empirical, bound = empirical_power_floor_check(0.5, 1.0, 64, 10_000, derive_rng(2, 41))
+        assert bound == pytest.approx(0.99793, abs=2e-5)
+        assert empirical >= bound - 3 * math.sqrt(bound * (1 - bound) / 10_000)
 
     def test_tiny_threshold_always_exceeded(self):
-        out = empirical_power_floor_check(1e-6, 1.0, 32, 2000, derive_rng(3, 41))
-        assert out.empirical_prob == 1.0
+        empirical, _ = empirical_power_floor_check(1e-6, 1.0, 32, 2000, derive_rng(3, 41))
+        assert empirical == 1.0
 
     def test_bound_monotone_in_antennas(self):
         rng = derive_rng(4, 41)
-        bounds = [empirical_power_floor_check(0.5, 1.0, M, 100, rng).bound for M in (16, 32, 64, 128)]
+        bounds = [empirical_power_floor_check(0.5, 1.0, M, 100, rng)[1] for M in (16, 32, 64, 128)]
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
 
