@@ -5,7 +5,8 @@ multiple-measurement observation ``Y``:
 
 * ``msbl``    - multiple-measurement sparse Bayesian learning with EM
                 hyperparameter updates (Wipf & Rao style), noise variance
-                frozen at its true value.
+                frozen at its true value. Each EM step inverts the ``L x L``
+                ``Sigma_y`` once and does the rest with matrix products.
 * ``bomp``    - block orthogonal matching pursuit on the Kronecker-lifted
                 single-vector model, evaluated in its mathematically
                 equivalent unlifted form (simultaneous OMP).
@@ -92,10 +93,18 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     Each row of the unknown gets a Gaussian prior with its own variance
     hyperparameter; EM alternates the posterior moments with the variance
     update ``gamma_k = mean_m |mu_km|^2 + Sigma_kk``. The noise variance is
-    held fixed at the problem's true value. Iteration stops after 500 EM
-    steps or once the relative hyperparameter change falls below 1e-6. The
-    support is the ``D_known`` largest hyperparameters, or all above
-    ``0.4 * max(gamma)`` (the rule of :func:`~gfdetect.detect.extract_support`).
+    held fixed at the problem's true value.
+
+    Each step forms ``G = inv(Sigma_y)`` of ``Sigma_y = sigma^2 I + S Gamma S^H``
+    and ``GS = G S``. Then ``Sigma_kk = max(gamma_k - gamma_k^2 Re(s_k^H GS_k), 0)``,
+    and, because ``G`` is Hermitian, ``S^H Sigma_y^-1 F = GS^H F``, so the mean
+    power is ``gamma_k^2 ||(GS^H F)_k||^2 / M`` on the snapshot factor ``F``
+    (module docstring). An exactly singular ``Sigma_y`` raises ``LinAlgError``.
+
+    Iteration stops after 500 EM steps or once the relative hyperparameter
+    change falls below 1e-6. The support is the ``D_known`` largest
+    hyperparameters, or all above ``0.4 * max(gamma)`` (the rule of
+    :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
     Y = _snapshot_factor(problem.Y)
@@ -103,19 +112,11 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     M = problem.num_snapshots
     sigma2 = max(problem.sigma_w2, 1e-12)
 
+    S_H = S.conj().T
+    noise = sigma2 * np.eye(L)
     gamma = np.ones(K)
-    eye = np.eye(L)
     for _ in range(_MSBL_MAX_ITERS):
-        SG = S * gamma[None, :]
-        sigma_y = sigma2 * eye + SG @ S.conj().T
-        solved = np.linalg.solve(sigma_y, np.concatenate([S, Y], axis=1))
-        SiS = solved[:, :K]
-        SiY = solved[:, K:]
-        quad = np.einsum("lk,lk->k", S.conj(), SiS).real
-        mu = gamma[:, None] * (S.conj().T @ SiY)
-        # the factor has min(L, M) columns; the mean is over all M snapshots
-        mean_power = np.sum(np.abs(mu) ** 2, axis=1) / M if M else np.zeros(K)
-        gamma_new = mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
+        gamma_new = _msbl_step(gamma, S, S_H, noise, Y, M)
         gamma_new[gamma_new < _GAMMA_FLOOR] = 0.0
         peak = gamma_new.max()
         change = np.max(np.abs(gamma_new - gamma))
@@ -123,6 +124,20 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
         if peak == 0.0 or change <= _MSBL_GAMMA_TOL * max(peak, 1e-30):
             break
     return extract_support(gamma, D_known, _MSBL_PRUNE_TOLERANCE)
+
+
+def _msbl_step(
+    gamma: np.ndarray, S: np.ndarray, S_H: np.ndarray, noise: np.ndarray, F: np.ndarray, M: int
+) -> np.ndarray:
+    """One EM update of MSBL's hyperparameters, before the floor (see :func:`msbl`)."""
+    # G = Sigma_y^-1 is Hermitian, so S^H Sigma_y^-1 F = (G S)^H F
+    G = np.linalg.inv(noise + (S * gamma[None, :]) @ S_H)
+    GS = G @ S
+    quad = np.sum(S_H.T * GS, axis=0).real  # Re(s_k^H GS_k)
+    # F has min(L, M) columns; the mean is over all M snapshots
+    P = GS.conj().T @ F
+    mean_power = gamma * gamma * np.sum(P.real**2 + P.imag**2, axis=1) / max(M, 1)
+    return mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:

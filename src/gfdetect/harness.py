@@ -70,6 +70,7 @@ DETECTOR_NAMES = ("cov-lasso", "msbl", "bomp", "mfocuss")
 GENIE_NAMES = ("pai", "paci")
 _AXIS_FIELDS = {"sparsity": "D", "snr": "snr_db", "antennas": "M"}  # sweep axis -> field it sets
 SWEEP_AXES = ("none", *_AXIS_FIELDS)  # "none" (unswept) first
+_MAX_SWEEP_POINTS = 10_000  # a start:step:stop range may not ask for more
 
 _PILOT_STREAM = 0x70494C4F  # stream key for the shared dictionary draw
 _NO_KEY = {"key": None}  # field metadata: no configuration key sets this field
@@ -472,7 +473,10 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
                 raise ConfigError(f"non-finite sweep range in {spec!r}")
             if step == 0 or (stop - start) * step < 0:
                 raise ConfigError(f"unreachable sweep range in {spec!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9  # inf if the range overflows
+            if span >= _MAX_SWEEP_POINTS:
+                raise ConfigError(f"sweep range {spec!r} has over {_MAX_SWEEP_POINTS} points")
+            count = int(math.floor(span)) + 1
             values = tuple(start + i * step for i in range(count))
         elif len(parts) == 2:
             values = tuple(float(tok) for tok in parts[1].split(",") if tok.strip())

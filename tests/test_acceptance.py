@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gfdetect.detect import (
     build_smv,
@@ -44,6 +45,8 @@ from gfdetect.pilots import (
 from gfdetect.theory import chernoff_power_rate, empirical_power_floor_check
 
 SEED = 20260808
+
+pytestmark = pytest.mark.slow
 
 
 def report(number: int, ok: bool, detail: str) -> None:

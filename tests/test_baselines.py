@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfdetect.baselines import MmvProblem, _snapshot_factor, bomp, mfocuss, msbl
+from gfdetect.baselines import MmvProblem, _msbl_step, _snapshot_factor, bomp, mfocuss, msbl
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
     derive_rng,
@@ -203,6 +203,40 @@ def test_pinned_supports(case, msbl_sup, bomp_sup, mfocuss_sup):
     assert mfocuss(problem).indices == mfocuss_sup
 
 
+# (seed, snr_db) -> msbl support at the benchmark's all-snr geometry
+# (K=64, L=20, M=128, D=10), captured with the LU solve of Sigma_y (commit f82d38d)
+PINNED_ALL_SNR_MSBL = [
+    ((100, -10.0), (6, 13, 18, 23)),
+    ((101, -10.0), (26, 46, 50, 59)),
+    ((102, -10.0), (3, 13, 14, 15, 20, 43, 51, 61)),
+    ((103, -10.0), (5, 10, 22, 50, 56)),
+    ((100, -5.0), (3, 6, 7, 13, 18, 19, 23, 32, 55, 62)),
+    ((101, -5.0), (10, 17, 20, 22, 26, 28, 43, 46, 53, 59)),
+    ((102, -5.0), (3, 4, 5, 13, 39, 45, 61, 63)),
+    ((103, -5.0), (4, 5, 7, 10, 22, 39, 50, 56, 57, 58, 61)),
+    ((100, 0.0), (3, 6, 7, 13, 18, 19, 23, 32, 55, 62)),
+    ((101, 0.0), (10, 16, 17, 20, 22, 26, 28, 43, 53, 59)),
+    ((102, 0.0), (4, 5, 9, 10, 11, 13, 39, 45, 56, 63)),
+    ((103, 0.0), (4, 5, 7, 39, 50, 54, 56, 57, 58, 61)),
+    ((100, 5.0), (3, 6, 7, 13, 18, 19, 23, 32, 55, 62)),
+    ((101, 5.0), (10, 16, 17, 20, 22, 26, 28, 43, 53, 59)),
+    ((102, 5.0), (4, 5, 9, 10, 11, 13, 39, 45, 56, 63)),
+    ((103, 5.0), (4, 5, 7, 39, 50, 54, 56, 57, 58, 61)),
+    ((100, 10.0), (3, 6, 7, 13, 18, 19, 23, 32, 55, 62)),
+    ((101, 10.0), (10, 16, 17, 20, 22, 26, 28, 43, 53, 59)),
+    ((102, 10.0), (4, 5, 9, 10, 11, 13, 39, 45, 56, 63)),
+    ((103, 10.0), (4, 5, 7, 39, 50, 54, 56, 57, 58, 61)),
+]
+
+
+@pytest.mark.parametrize("case, msbl_sup", PINNED_ALL_SNR_MSBL,
+                         ids=[f"seed{seed}-snr{snr:g}" for (seed, snr), _ in PINNED_ALL_SNR_MSBL])
+def test_pinned_msbl_supports_all_snr_geometry(case, msbl_sup):
+    seed, snr_db = case
+    problem, _ = make_problem(seed, 10, snr_db, M=128)
+    assert msbl(problem).indices == msbl_sup
+
+
 @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(0, 40))
 def test_snapshot_factor_keeps_the_gram(seed, L, M):
     rng = derive_rng(seed, 25)
@@ -250,3 +284,36 @@ def test_bomp_stops_at_a_zero_residual():
     support = bomp(MmvProblem(Y, S, 0.0), 3)
     assert support.size <= 2
     assert bomp(MmvProblem(1j * Y, S, 0.0), 3) == support
+
+
+def _msbl_step_by_solve(gamma, S, F, M, sigma2):
+    """MSBL's EM update through one LU solve of Sigma_y against [S, F]."""
+    L, K = S.shape
+    sigma_y = sigma2 * np.eye(L) + (S * gamma[None, :]) @ S.conj().T
+    solved = np.linalg.solve(sigma_y, np.concatenate([S, F], axis=1))
+    quad = np.einsum("lk,lk->k", S.conj(), solved[:, :K]).real
+    mu = gamma[:, None] * (S.conj().T @ solved[:, K:])
+    mean_power = np.sum(np.abs(mu) ** 2, axis=1) / M
+    return mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 12),
+    extra_K=st.integers(0, 40),
+    M=st.integers(1, 40),
+    snr_db=st.floats(-10.0, 30.0),
+)
+def test_msbl_step_matches_the_solve_form(seed, L, extra_K, M, snr_db):
+    # inv(Sigma_y) S replaces solve(Sigma_y, [S, F]); S^H Sigma_y^-1 F = (G S)^H F
+    K = L + extra_K
+    rng = derive_rng(seed, 28)
+    S = gen_gaussian_dictionary(L, K, rng)
+    F = _snapshot_factor(rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M)))
+    gamma = rng.uniform(0.0, 2.0, K)
+    gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
+    sigma2 = noise_variance(snr_db)
+    new = _msbl_step(gamma, S, S.conj().T, sigma2 * np.eye(L), F, M)
+    old = _msbl_step_by_solve(gamma, S, F, M, sigma2)
+    assert np.linalg.norm(new - old) <= 1e-9 * np.linalg.norm(old)

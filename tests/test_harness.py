@@ -85,6 +85,20 @@ class TestSweepParsing:
             with pytest.raises(ConfigError):
                 parse_sweep(spec)
 
+    def test_range_count_is_capped(self, monkeypatch):
+        # the count is checked before any value is built: a range() that
+        # refuses large counts stands in for the host's memory
+        def bounded_range(n):
+            assert n <= 10_000, f"parse_sweep started building {n} values"
+            return range(n)
+
+        monkeypatch.setattr(gfdetect.harness, "range", bounded_range, raising=False)
+        # 10^9 points; an overflowing span; one point over the cap
+        for spec in ("snr:0:1e-9:1", "snr:-1e308:1e300:1e308", "snr:0:1:10000"):
+            with pytest.raises(ConfigError):
+                parse_sweep(spec)
+        assert len(parse_sweep("snr:0:1:9999")[1]) == 10_000
+
     def test_infinite_snr_value_is_noiseless(self):
         axis, values = parse_sweep("snr:inf")
         assert (axis, values) == ("snr", (float("inf"),))
