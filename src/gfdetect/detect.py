@@ -79,21 +79,31 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     return A, x
 
 
+def _adjoint_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A^H v`` formed as ``conj(A^T conj(v))``, so no conjugate copy of ``A`` is made."""
+    return (A.T @ v.conj()).conj()
+
+
+def _penalty_rule(corr: np.ndarray, snapshots: int) -> float:
+    """``0.1 * max|corr| * sqrt(log(K)/snapshots)`` for the correlation ``corr = A^H x``."""
+    if snapshots < 1:
+        raise InvalidParameterError(f"snapshots must be >= 1, got {snapshots}")
+    K = corr.size
+    peak = float(np.max(np.abs(corr))) if K else 0.0
+    return 0.1 * peak * math.sqrt(math.log(max(K, 2)) / snapshots)
+
+
 def default_penalty(A: np.ndarray, x: np.ndarray, snapshots: int) -> float:
     """Scale-aware l1 penalty: ``0.1 * max|A^H x| * sqrt(log(K)/snapshots)``.
 
     Tracks the 1/snapshots shrinkage of the covariance fluctuation so the
     penalty fades as more antennas are averaged.
     """
-    if snapshots < 1:
-        raise InvalidParameterError(f"snapshots must be >= 1, got {snapshots}")
-    K = A.shape[1]
-    corr = float(np.max(np.abs(A.conj().T @ x))) if x.size else 0.0
-    return 0.1 * corr * math.sqrt(math.log(max(K, 2)) / snapshots)
+    return _penalty_rule(_adjoint_product(np.asarray(A), np.asarray(x)), snapshots)
 
 
 def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-12) -> float:
-    """Largest eigenvalue of the (Hermitian PSD) Gram matrix via power iteration."""
+    """Largest eigenvalue of the symmetric PSD Gram matrix via power iteration."""
     K = gram.shape[0]
     v = np.ones(K) / math.sqrt(K)
     value = 0.0
@@ -103,7 +113,7 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
         if nw == 0:
             return 0.0
         v = w / nw
-        new_value = float(np.real(np.vdot(v, gram @ v)))
+        new_value = float(v @ (gram @ v))
         if abs(new_value - value) <= rtol * max(new_value, 1.0):
             return new_value
         value = new_value
@@ -122,9 +132,13 @@ def nn_lasso(
     """Solve ``min 0.5*||A r - x||^2 + lam*sum(r)`` subject to ``r >= 0``.
 
     ``A`` and ``x`` may be complex while ``r`` is real nonnegative; the
-    data term uses the squared modulus of the residual. The solver is a
-    monotone accelerated projected proximal-gradient method with the step
-    set by the squared spectral norm of ``A`` (power iteration); momentum is
+    data term uses the squared modulus of the residual, so the problem is
+    the real quadratic ``0.5 r^T G r - b^T r + 0.5||x||^2`` with
+    ``G = Re(A^H A)`` (formed as ``B^T B`` with ``B = [Re A; Im A]``) and
+    ``b = Re(A^H x)``. The solver is a monotone accelerated projected
+    proximal-gradient method with the step set by the largest eigenvalue of
+    ``G`` (power iteration); it carries ``G r`` and ``G z`` between
+    iterations, so each iteration costs one ``K x K`` product. Momentum is
     restarted whenever the accelerated step fails to decrease the objective,
     which keeps the objective non-increasing. Convergence is declared when
     the relative objective decrease drops below ``objective_tolerance``.
@@ -145,22 +159,27 @@ def nn_lasso(
         raise InvalidParameterError(f"objective_tolerance must be >= 0, got {objective_tolerance}")
 
     K = A.shape[1]
-    gram_c = A.conj().T @ A
-    gram = np.ascontiguousarray(gram_c.real)
-    b = (A.conj().T @ x).real
+    # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
+    B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
+    gram = B.T @ B
+    del B
+    corr = _adjoint_product(A, x)
+    b = corr.real
     xnorm2 = float(np.real(np.vdot(x, x)))
     if lam is None:
-        lam = default_penalty(A, x, snapshots)
+        lam = _penalty_rule(corr, snapshots)
 
-    lip = _spectral_norm_sq(gram_c)
+    lip = _spectral_norm_sq(gram)
     step = 1.0 / (1.01 * lip) if lip > 0 else 1.0
 
-    def objective(r: np.ndarray) -> float:
-        return float(0.5 * (r @ (gram @ r)) - b @ r + 0.5 * xnorm2 + lam * r.sum())
+    def objective(r: np.ndarray, gram_r: np.ndarray) -> float:
+        return float(0.5 * (r @ gram_r) - b @ r + 0.5 * xnorm2 + lam * r.sum())
 
+    # g_r, g_z and g_y hold gram @ r, gram @ z and gram @ y
     r = np.zeros(K)
-    obj = objective(r)
-    y = r
+    g_r = np.zeros(K)
+    obj = objective(r, g_r)
+    y, g_y = r, g_r
     t = 1.0
     history = [obj]
     converged = False
@@ -169,17 +188,21 @@ def nn_lasso(
 
     eps = np.finfo(float).eps
     for iterations in range(1, max_iterations + 1):
-        grad = gram @ y - b
+        grad = g_y - b
         z = y - step * (grad + lam)
         np.maximum(z, 0.0, out=z)
-        obj_z = objective(z)
+        g_z = gram @ z
+        obj_z = objective(z, g_z)
         # an unaccelerated step with a valid step size cannot increase the
         # true objective; apparent rises within float noise are accepted
         slack = 32.0 * eps * max(abs(obj), 1.0) if plain_step else 0.0
         if obj_z <= obj + slack:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = z + ((t - 1.0) / t_next) * (z - r)
-            r = z
+            beta = (t - 1.0) / t_next
+            # gram is linear, so gram @ y follows from gram @ z and gram @ r
+            y = z + beta * (z - r)
+            g_y = g_z + beta * (g_z - g_r)
+            r, g_r = z, g_z
             t = t_next
             plain_step = False
             history.append(obj_z)
@@ -194,7 +217,7 @@ def nn_lasso(
             # unaccelerated step fails the step size was too optimistic
             if plain_step:
                 step *= 0.5
-            y = r
+            y, g_y = r, g_r
             t = 1.0
             plain_step = True
             history.append(obj)
@@ -216,8 +239,9 @@ def kkt_residual(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float) -> flo
     ``Re(a_k^H (A r - x)) + lam`` must vanish; for zero coordinates it must
     be nonnegative. Returns the maximum violation magnitude.
     """
+    A = np.asarray(A)
     r = np.asarray(r, dtype=float)
-    g = (np.asarray(A).conj().T @ (np.asarray(A) @ r - np.asarray(x).ravel())).real + lam
+    g = _adjoint_product(A, A @ r - np.asarray(x).ravel()).real + lam
     positive = r > 0
     worst = 0.0
     if np.any(positive):

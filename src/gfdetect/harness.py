@@ -12,6 +12,7 @@ order and worker count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -223,8 +224,16 @@ PRESETS["fig7"] = PRESETS["fig6"]  # channel estimation error vs activity level
 PRESETS["fig8"] = PRESETS["fig5"]  # channel estimation error vs SNR
 
 
+@functools.lru_cache(maxsize=1)  # one sweep reads one (L, K, seed)
+def _shared_pilot_draw(L: int, K: int, seed: int) -> np.ndarray:
+    S = gen_gaussian_dictionary(L, K, derive_rng(seed, _PILOT_STREAM))
+    S.flags.writeable = False  # every trial of the sweep gets this same array
+    return S
+
+
 def _shared_pilots(config: ExperimentConfig) -> np.ndarray:
-    return gen_gaussian_dictionary(config.L, config.K, derive_rng(config.seed, _PILOT_STREAM))
+    """The sweep's shared dictionary, drawn once from its own stream and reused."""
+    return _shared_pilot_draw(config.L, config.K, config.seed)
 
 
 def _run_detector(

@@ -54,7 +54,9 @@ def _solve_normal(A: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     if cols > rows:
         raise SingularSystemError(f"cannot solve for {cols} {what} columns from {rows} rows")
     gram = A.conj().T @ A
-    cond = float(np.linalg.cond(gram))
+    # the Gram is Hermitian PSD: its condition number is the eigenvalue ratio
+    eigenvalues = np.linalg.eigvalsh(gram)
+    cond = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else math.inf
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystemError(
             f"{what} Gram matrix is numerically singular (condition number {cond:.3e})"

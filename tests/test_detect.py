@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfdetect.detect import (
     build_smv,
@@ -18,6 +20,7 @@ from gfdetect.model import (
     derive_rng,
     draw_channel_gaussian,
     draw_support,
+    noise_variance,
     received_pilot,
 )
 from gfdetect.pilots import gen_gaussian_dictionary, khatri_rao_dictionary
@@ -272,3 +275,205 @@ class TestDetectActivity:
         oracle = brute_force_support(A, x, 2)
         res = detect_activity(Y, S, 0.0, known_sparsity=2)
         assert tuple(res.support_hat.indices) == tuple(oracle) == sup.indices
+
+
+def pilot_block(seed, D, snr_db, M, K, L):
+    """A received pilot block; ``snr_db=None`` means noiseless."""
+    rng = derive_rng(seed, 31)
+    S = gen_gaussian_dictionary(L, K, rng)
+    sup = draw_support(K, rng, size=D)
+    H = draw_channel_gaussian(M, sup, rng)
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    return received_pilot(H, S, sigma_w2, rng), S, sigma_w2
+
+
+# (seed, D, snr_db, M, K, L) -> nn_lasso iterations, then the cov-lasso
+# support with D given and with the own threshold rule (default penalty);
+# captured with the complex-Gram solver (commit 56ff04e)
+PINNED_COV_LASSO = [
+    # fig2 geometry, sparsity 2-12 at -5, 0 and 10 dB
+    ((200, 2, -5.0, 128, 64, 20), 28,
+     (10, 49),
+     (10, 15, 16, 21, 23, 25, 33, 38, 41, 46, 48, 49, 58)),
+    ((201, 4, -5.0, 128, 64, 20), 36,
+     (5, 21, 24, 32),
+     (2, 5, 9, 17, 21, 24, 27, 29, 32, 33, 41, 42, 52, 53, 60, 61)),
+    ((202, 6, -5.0, 128, 64, 20), 28,
+     (3, 7, 14, 23, 26, 27),
+     (2, 3, 4, 7, 12, 14, 23, 26, 27, 34, 35, 37, 39, 44, 45)),
+    ((203, 8, -5.0, 128, 64, 20), 28,
+     (7, 16, 20, 22, 23, 40, 52, 59),
+     (0, 5, 7, 16, 20, 22, 23, 27, 32, 40, 41, 47, 49, 52, 54, 59, 62)),
+    ((204, 10, -5.0, 128, 64, 20), 28,
+     (1, 7, 8, 15, 16, 44, 49, 50, 59, 62),
+     (1, 5, 7, 8, 11, 15, 16, 33, 34, 35, 37, 44, 49, 50, 58, 59, 62)),
+    ((205, 12, -5.0, 128, 64, 20), 28,
+     (6, 7, 8, 10, 14, 16, 18, 25, 48, 52, 55, 57),
+     (1, 6, 7, 8, 10, 13, 14, 16, 18, 25, 29, 30, 33, 48, 52, 55, 57, 59, 60, 62)),
+    ((206, 2, 0.0, 128, 64, 20), 28, (28, 44), (11, 28, 44)),
+    ((207, 4, 0.0, 128, 64, 20), 34, (5, 6, 10, 21), (5, 6, 10, 14, 16, 21, 40, 49, 61)),
+    ((208, 6, 0.0, 128, 64, 20), 32,
+     (14, 39, 48, 50, 52, 55),
+     (1, 14, 18, 22, 29, 30, 39, 43, 48, 50, 51, 52, 55)),
+    ((209, 8, 0.0, 128, 64, 20), 36,
+     (0, 6, 25, 32, 41, 55, 56, 60),
+     (0, 4, 6, 7, 14, 19, 25, 26, 30, 32, 41, 52, 55, 56, 60, 63)),
+    ((210, 10, 0.0, 128, 64, 20), 28,
+     (20, 27, 30, 33, 35, 38, 47, 51, 54, 60),
+     (5, 10, 20, 27, 30, 33, 35, 38, 47, 51, 54, 60)),
+    ((211, 12, 0.0, 128, 64, 20), 32,
+     (1, 8, 17, 26, 30, 38, 40, 49, 50, 54, 59, 61),
+     (1, 8, 10, 13, 16, 17, 19, 26, 28, 30, 31, 36, 38, 40, 46, 49, 50, 54, 59, 61)),
+    ((212, 2, 10.0, 128, 64, 20), 32, (15, 25), (15, 25)),
+    ((213, 4, 10.0, 128, 64, 20), 35, (6, 14, 27, 46), (6, 14, 27, 46)),
+    ((214, 6, 10.0, 128, 64, 20), 28, (13, 29, 33, 35, 49, 50), (13, 29, 33, 35, 49, 50)),
+    ((215, 8, 10.0, 128, 64, 20), 38,
+     (0, 2, 11, 18, 23, 25, 50, 52),
+     (0, 2, 7, 11, 18, 23, 25, 50, 52)),
+    ((216, 10, 10.0, 128, 64, 20), 31,
+     (3, 5, 7, 14, 15, 25, 30, 33, 38, 48),
+     (3, 5, 7, 14, 15, 25, 30, 33, 38, 48)),
+    ((217, 12, 10.0, 128, 64, 20), 38,
+     (4, 8, 10, 14, 25, 26, 32, 33, 39, 47, 48, 52),
+     (4, 8, 10, 14, 25, 26, 32, 33, 39, 47, 48, 52)),
+    # more fig2 points at 0, 5 and 10 dB
+    ((218, 6, 0.0, 128, 64, 20), 32,
+     (5, 7, 13, 18, 21, 63),
+     (5, 7, 13, 18, 21, 26, 27, 43, 51, 52, 58, 63)),
+    ((219, 10, 0.0, 128, 64, 20), 33,
+     (3, 8, 20, 25, 29, 32, 38, 46, 58, 61),
+     (3, 8, 13, 14, 20, 25, 29, 32, 38, 46, 47, 54, 58, 61)),
+    ((220, 6, 5.0, 128, 64, 20), 35, (26, 43, 49, 51, 62, 63), (26, 43, 49, 51, 62, 63)),
+    ((221, 10, 5.0, 128, 64, 20), 45,
+     (3, 6, 12, 22, 23, 26, 31, 32, 37, 41),
+     (3, 6, 12, 22, 23, 26, 28, 31, 32, 37, 41, 50)),
+    ((222, 6, 10.0, 128, 64, 20), 32, (0, 27, 28, 33, 34, 62), (0, 27, 28, 33, 34, 62)),
+    ((223, 10, 10.0, 128, 64, 20), 36,
+     (4, 8, 12, 22, 24, 28, 32, 38, 40, 49),
+     (4, 8, 12, 22, 24, 28, 32, 38, 40, 49)),
+    # the large-K operating point (the lasso-shared-largeK geometry)
+    ((224, 20, -5.0, 128, 256, 40), 37,
+     (18, 38, 56, 58, 66, 67, 88, 95, 102, 106, 129, 141, 149, 150, 157, 185, 203, 209, 211,
+      238),
+     (1, 3, 5, 18, 24, 25, 38, 40, 49, 52, 56, 58, 59, 66, 67, 86, 88, 95, 102, 105, 106, 107,
+      113, 118, 128, 129, 141, 149, 150, 154, 157, 161, 165, 172, 180, 182, 183, 184, 185, 186,
+      197, 203, 209, 211, 221, 234, 236, 238, 246, 247, 252, 255)),
+    ((225, 20, 0.0, 128, 256, 40), 45,
+     (1, 6, 16, 50, 57, 63, 96, 113, 134, 157, 162, 166, 188, 196, 198, 216, 218, 233, 237,
+      245),
+     (1, 6, 16, 18, 32, 35, 37, 50, 57, 63, 95, 96, 113, 134, 144, 157, 158, 162, 166, 172,
+      188, 196, 198, 216, 218, 233, 237, 242, 245, 250)),
+    ((226, 20, 5.0, 128, 256, 40), 45,
+     (8, 36, 47, 54, 79, 80, 128, 133, 145, 147, 148, 150, 153, 157, 160, 166, 171, 208, 236,
+      250),
+     (8, 24, 36, 47, 54, 65, 79, 80, 113, 128, 133, 145, 147, 148, 150, 152, 153, 157, 160,
+      166, 171, 208, 236, 250)),
+    ((227, 20, 10.0, 128, 256, 40), 46,
+     (12, 48, 73, 76, 103, 115, 116, 119, 135, 142, 152, 165, 176, 183, 205, 208, 225, 232,
+      237, 238),
+     (12, 48, 73, 76, 103, 115, 116, 119, 135, 142, 152, 165, 176, 183, 205, 208, 225, 232,
+      237, 238)),
+    # M < L, including a single antenna
+    ((228, 3, 10.0, 8, 64, 20), 24, (23, 45, 58), (23, 45, 58)),
+    ((229, 5, 0.0, 16, 64, 20), 26,
+     (0, 29, 35, 37, 60),
+     (0, 9, 11, 15, 29, 31, 35, 36, 37, 41, 57, 60)),
+    ((230, 4, 10.0, 1, 64, 20), 29, (13, 18, 26, 41), (13, 18, 26, 41, 52)),
+    ((231, 6, 5.0, 12, 32, 16), 23,
+     (3, 8, 11, 14, 16, 31),
+     (1, 3, 4, 8, 10, 11, 14, 16, 19, 25, 31)),
+    # noiseless
+    ((232, 5, None, 128, 64, 20), 32, (9, 11, 36, 37, 40), (9, 11, 36, 37, 40)),
+    ((233, 3, None, 8, 64, 20), 32, (2, 33, 55), (2, 6, 33, 55)),
+    ((234, 12, None, 500, 64, 20), 40,
+     (0, 11, 19, 23, 25, 28, 34, 36, 38, 46, 47, 63),
+     (0, 11, 19, 23, 25, 28, 34, 36, 38, 46, 47, 63)),
+    # D = 0: pure noise; the own rule still picks entries above its threshold
+    ((235, 0, 10.0, 128, 64, 20), 25, (), (11, 13, 14, 15, 27, 37, 40, 43, 46, 50, 60, 63)),
+    ((236, 0, None, 128, 64, 20), 1, (), ()),
+    ((237, 0, -5.0, 16, 64, 20), 23,
+     (),
+     (2, 11, 14, 16, 25, 27, 35, 37, 39, 42, 51, 53, 57, 58, 59, 63)),
+]
+
+
+@pytest.mark.parametrize("case, iterations, known_sup, own_sup", PINNED_COV_LASSO,
+                         ids=[f"seed{case[0]}" for case, *_ in PINNED_COV_LASSO])
+def test_pinned_cov_lasso_supports(case, iterations, known_sup, own_sup):
+    Y, S, sigma_w2 = pilot_block(*case)
+    res = detect_activity(Y, S, sigma_w2, known_sparsity=case[1])
+    assert res.iterations == iterations
+    assert res.support_hat.indices == known_sup
+    assert extract_support(res.r_hat).indices == own_sup
+
+
+def _nn_lasso_complex_gram(A, x, lam, max_iterations=2000, objective_tolerance=1e-10):
+    """The solver on the complex Gram ``A^H A``: two ``K x K`` products per iteration."""
+    K = A.shape[1]
+    gram_c = A.conj().T @ A
+    gram = np.ascontiguousarray(gram_c.real)
+    b = (A.conj().T @ x).real
+    xnorm2 = float(np.real(np.vdot(x, x)))
+    v = np.ones(K) / np.sqrt(K)
+    lip = 0.0
+    for _ in range(200):  # power iteration on the complex Gram
+        w = gram_c @ v
+        v = w / np.linalg.norm(w)
+        new = float(np.real(np.vdot(v, gram_c @ v)))
+        if abs(new - lip) <= 1e-12 * max(new, 1.0):
+            lip = new
+            break
+        lip = new
+    step = 1.0 / (1.01 * lip)
+
+    def objective(r):
+        return float(0.5 * (r @ (gram @ r)) - b @ r + 0.5 * xnorm2 + lam * r.sum())
+
+    r = np.zeros(K)
+    obj = objective(r)
+    y, t, plain_step, iterations = r, 1.0, True, 0
+    eps = np.finfo(float).eps
+    for iterations in range(1, max_iterations + 1):
+        z = np.maximum(y - step * (gram @ y - b + lam), 0.0)
+        obj_z = objective(z)
+        slack = 32.0 * eps * max(abs(obj), 1.0) if plain_step else 0.0
+        if obj_z <= obj + slack:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = z + ((t - 1.0) / t_next) * (z - r)
+            r, t, plain_step = z, t_next, False
+            decrease, obj = obj - obj_z, obj_z
+            if max(decrease, 0.0) < objective_tolerance * max(abs(obj), 1e-30):
+                break
+        else:
+            if plain_step:
+                step *= 0.5
+            y, t, plain_step = r, 1.0, True
+    return r, iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(2, 12),
+    extra_K=st.integers(0, 40),
+    M=st.integers(1, 200),
+    data=st.data(),
+    snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
+)
+def test_real_gram_solver_matches_the_complex_gram_form(seed, L, extra_K, M, data, snr_db):
+    # on the Kronecker lift Im(A^H A) is rounding, so Re(A^H A) = B^T B gives
+    # the same step, and gram @ y = gram @ z + beta (gram @ z - gram @ r)
+    K = L + extra_K
+    D = data.draw(st.integers(0, min(K, 12)), label="D")
+    rng = derive_rng(seed, 32)
+    S = gen_gaussian_dictionary(L, K, rng)
+    H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    A, x = build_smv(sample_covariance(received_pilot(H, S, sigma_w2, rng)), S, sigma_w2)
+    res = nn_lasso(A, x, snapshots=M, known_sparsity=D)
+    old_lam = 0.1 * np.max(np.abs(A.conj().T @ x)) * np.sqrt(np.log(max(K, 2)) / M)
+    assert res.lam == pytest.approx(old_lam, rel=1e-12, abs=1e-300)
+    r_old, iterations = _nn_lasso_complex_gram(A, x, res.lam)
+    assert res.iterations == iterations
+    assert res.support_hat == extract_support(r_old, D)
+    assert np.linalg.norm(res.r_hat - r_old) <= 1e-9 * np.linalg.norm(r_old)

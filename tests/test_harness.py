@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gfdetect
+from gfdetect import harness
 from gfdetect.cli import main
 from gfdetect.errors import ConfigError, InvalidParameterError
 from gfdetect.harness import (
@@ -24,6 +25,7 @@ from gfdetect.harness import (
     run_sweep,
     run_trial,
 )
+from gfdetect.pilots import gen_gaussian_dictionary
 
 
 def quick_config(**kw):
@@ -228,6 +230,30 @@ class TestRunSweep:
         assert len(seq) == 4
         assert [dataclasses.replace(r, runtime_ms=0.0) for r in seq] == [
             dataclasses.replace(r, runtime_ms=0.0) for r in par
+        ]
+
+    def test_shared_dictionary_drawn_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_draw(L, K, rng):
+            calls.append((L, K))
+            return gen_gaussian_dictionary(L, K, rng)
+
+        monkeypatch.setattr(harness, "gen_gaussian_dictionary", counting_draw)
+        harness._shared_pilot_draw.cache_clear()
+        cfg = quick_config(redraw_pilots=False, sweep_axis="snr", sweep_values=(0.0, 10.0),
+                           trials=3, detector="cov-lasso,msbl")
+        rows = run_sweep(cfg)
+        assert calls == [(cfg.L, cfg.K)]
+        S = harness._shared_pilots(cfg)
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
+        # the uncached draw, repeated in every trial, gives the same rows
+        monkeypatch.setattr(harness, "_shared_pilot_draw", harness._shared_pilot_draw.__wrapped__)
+        fresh = run_sweep(cfg)
+        assert len(calls) == 1 + 2 * cfg.trials
+        assert [dataclasses.replace(r, runtime_ms=0.0) for r in rows] == [
+            dataclasses.replace(r, runtime_ms=0.0) for r in fresh
         ]
 
     def test_each_row_aggregates_its_own_points_trials(self):

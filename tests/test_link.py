@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gfdetect.errors import InvalidParameterError, SingularSystemError
 from gfdetect.link import (
     QPSK,
+    _solve_normal,
     channel_mse,
     demodulate,
     despread_symbols,
@@ -109,6 +110,27 @@ class TestNormalEquations:
         via_decode = ls_data_decode(Y_p.conj().T, S).conj().T
         assert H_hat.shape == via_decode.shape == (M, K_a)
         assert np.linalg.norm(H_hat - via_decode) <= 1e-10 * np.linalg.norm(H_hat)
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 10), data=st.data())
+    def test_singular_verdict_matches_the_svd_condition_number(self, seed, rows, data):
+        cols = data.draw(st.integers(1, rows), label="cols")
+        rank = data.draw(st.integers(0, cols), label="rank")
+        rng = derive_rng(seed, 33)
+        if rank < cols:  # rank-deficient: a product through a narrower inner dimension
+            A = complex_normal(rng, (rows, rank)) @ complex_normal(rng, (rank, cols))
+        else:
+            A = complex_normal(rng, (rows, cols))
+        A = A * rng.choice([1e-2, 1.0, 1e2], size=cols)  # uneven column energies
+        cond = float(np.linalg.cond(A.conj().T @ A))
+        # within a factor of two of the limit the two rounding paths may disagree
+        assume(not 0.5e12 <= cond <= 2e12)
+        singular = not np.isfinite(cond) or cond > 1e12
+        try:
+            _solve_normal(A, complex_normal(rng, (cols, 2)), "test")
+        except SingularSystemError:
+            assert singular
+        else:
+            assert not singular
 
 
 class TestDemodulate:
