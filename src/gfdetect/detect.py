@@ -6,6 +6,11 @@ vectorize into a single-measurement-vector problem over the Kronecker-lifted
 dictionary, and recover the nonnegative per-node power vector with an
 accelerated projected proximal-gradient solver. The support of that vector
 is the set of active nodes.
+
+The lift, its real Gram ``Re(A^H A)`` and the solver's step constant depend
+only on the pilot code. The module keeps them for the last code it saw: a
+sweep with one shared code builds them once, and every later trial whose
+code has equal values reuses them. The lift handed out is read-only.
 """
 
 from __future__ import annotations
@@ -56,12 +61,43 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
     return Y.conj().T @ Y / M
 
 
+@dataclass(frozen=True)
+class _LiftMemo:
+    """The last pilot code's lift with the solver setup that depends only on it."""
+
+    code: np.ndarray  # private copy of the pilot code, the memo's key
+    lift: np.ndarray  # read-only, checked finite
+    gram: np.ndarray  # read-only ``Re(A^H A)``
+    lip: float  # largest eigenvalue of ``gram``
+
+
+_memo: _LiftMemo | None = None
+
+
+def _lift(S: np.ndarray) -> np.ndarray:
+    """Read-only Kronecker lift of ``S``, reused while the code's values stay equal."""
+    global _memo
+    memo = _memo
+    if memo is not None and np.array_equal(memo.code, S):
+        return memo.lift
+    _memo = memo = None  # drop the old lift first, so two are never alive at once
+    A = khatri_rao_dictionary(S)
+    A.flags.writeable = False
+    if np.all(np.isfinite(A)):  # a non-finite lift is left for nn_lasso to reject
+        gram, lip = _gram_and_lip(A)
+        gram.flags.writeable = False
+        _memo = _LiftMemo(np.array(S, dtype=complex), A, gram, lip)
+    return A
+
+
 def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorize the covariance into a single-measurement-vector problem.
 
     Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker lift of the
     ``L x K`` pilot code ``S`` and ``x = vec(phi_yy) - sigma_w2 * vec(I)``;
     the noise variance is assumed known, so only its mean is removed.
+    ``A`` is read-only. A call whose code has the same values as the
+    previous call's returns the same ``A`` object, without rebuilding it.
     """
     phi = np.asarray(phi_yy)
     S = np.asarray(S)
@@ -74,7 +110,7 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     if sigma_w2 < 0:
         raise InvalidParameterError(f"sigma_w2 must be >= 0, got {sigma_w2}")
     L = phi.shape[0]
-    A = khatri_rao_dictionary(S)
+    A = _lift(S)
     x = phi.ravel(order="F") - sigma_w2 * np.eye(L).ravel()
     return A, x
 
@@ -120,6 +156,15 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
     return value
 
 
+def _gram_and_lip(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """``Re(A^H A)`` and its largest eigenvalue, the solver's step constant."""
+    # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
+    B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
+    gram = B.T @ B
+    del B
+    return gram, _spectral_norm_sq(gram)
+
+
 def nn_lasso(
     A: np.ndarray,
     x: np.ndarray,
@@ -144,12 +189,17 @@ def nn_lasso(
     the relative objective decrease drops below ``objective_tolerance``.
     ``lam=None`` selects :func:`default_penalty` for ``snapshots`` averaged
     antennas; ``known_sparsity`` is passed to :func:`extract_support`.
+    When ``A`` is the lift object :func:`build_smv` last returned, ``G`` and
+    its largest eigenvalue are the ones formed with that lift; any other
+    ``A``, a copy included, gets its own.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
+    memo = _memo if _memo is not None and A is _memo.lift else None
     if A.ndim != 2 or A.shape[0] != x.size or A.shape[1] < 1:
         raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(x)):
+    # the memo's lift was checked when it was built
+    if (memo is None and not np.all(np.isfinite(A))) or not np.all(np.isfinite(x)):
         raise InvalidParameterError("A and x must be finite")
     if lam is not None and (lam < 0 or not math.isfinite(lam)):
         raise InvalidParameterError(f"lam must be >= 0, got {lam}")
@@ -159,17 +209,13 @@ def nn_lasso(
         raise InvalidParameterError(f"objective_tolerance must be >= 0, got {objective_tolerance}")
 
     K = A.shape[1]
-    # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
-    B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
-    gram = B.T @ B
-    del B
+    gram, lip = _gram_and_lip(A) if memo is None else (memo.gram, memo.lip)
     corr = _adjoint_product(A, x)
     b = corr.real
     xnorm2 = float(np.real(np.vdot(x, x)))
     if lam is None:
         lam = _penalty_rule(corr, snapshots)
 
-    lip = _spectral_norm_sq(gram)
     step = 1.0 / (1.01 * lip) if lip > 0 else 1.0
 
     def objective(r: np.ndarray, gram_r: np.ndarray) -> float:

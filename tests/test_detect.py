@@ -1,10 +1,12 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfdetect import detect
 from gfdetect.detect import (
     build_smv,
     default_penalty,
@@ -477,3 +479,105 @@ def test_real_gram_solver_matches_the_complex_gram_form(seed, L, extra_K, M, dat
     assert res.iterations == iterations
     assert res.support_hat == extract_support(r_old, D)
     assert np.linalg.norm(res.r_hat - r_old) <= 1e-9 * np.linalg.norm(r_old)
+
+
+# The lift memo: one shared code builds its lift, Gram and step once, and
+# every answer equals the one computed without the memo.
+
+
+def memo_free_detection(Y, S, sigma_w2, known_sparsity=None):
+    """``detect_activity`` on a fresh lift that no memo can know."""
+    _, x = build_smv(sample_covariance(Y), S, sigma_w2)
+    return nn_lasso(khatri_rao_dictionary(np.array(S)), x, None, Y.shape[0], known_sparsity)
+
+
+def assert_same_detection(a, b):
+    assert np.array_equal(a.r_hat, b.r_hat)
+    assert a.support_hat == b.support_hat
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+    assert a.lam == b.lam
+    assert np.array_equal(a.objective_history, b.objective_history)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 10),
+    extra_K=st.integers(0, 30),
+    M=st.integers(1, 100),
+    data=st.data(),
+    snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
+)
+def test_memoized_lift_gives_the_memo_free_answer_bit_for_bit(seed, L, extra_K, M, data, snr_db):
+    K = L + extra_K
+    D = data.draw(st.integers(0, min(K, 10)), label="D")
+    rng = derive_rng(seed, 33)
+    S = gen_gaussian_dictionary(L, K, rng)
+    S.flags.writeable = False
+    H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    Y = received_pilot(H, S, sigma_w2, rng)
+    detect._memo = None
+    cold = detect_activity(Y, S, sigma_w2, known_sparsity=D)
+    warm = detect_activity(Y, S, sigma_w2, known_sparsity=D)
+    assert detect._memo is not None
+    assert_same_detection(cold, warm)
+    assert_same_detection(cold, memo_free_detection(Y, S, sigma_w2, D))
+
+
+class TestLiftMemo:
+    def block(self, seed=5):
+        return pilot_block(seed, 3, 5.0, 40, 14, 6)
+
+    def test_in_place_edit_of_the_code_gives_the_fresh_answer(self):
+        Y, S, sigma_w2 = self.block()
+        assert S.flags.writeable
+        first = detect_activity(Y, S, sigma_w2, known_sparsity=3)
+        S[:] = S[:, ::-1]  # same values in a new column order
+        edited = detect_activity(Y, S, sigma_w2, known_sparsity=3)
+        assert_same_detection(edited, memo_free_detection(Y, S, sigma_w2, 3))
+        assert not np.array_equal(first.r_hat, edited.r_hat)
+        A, _ = build_smv(sample_covariance(Y), S, sigma_w2)
+        assert np.array_equal(A, khatri_rao_dictionary(S))
+
+    def test_edited_copy_of_the_lift_gets_its_own_gram(self):
+        Y, S, sigma_w2 = self.block()
+        A, x = build_smv(sample_covariance(Y), S, sigma_w2)
+        edited = A.copy()
+        edited[:, 0] *= 3.0
+        res = nn_lasso(edited, x, snapshots=Y.shape[0])
+        r_ref, iterations = _nn_lasso_complex_gram(edited, x, res.lam)
+        assert res.iterations == iterations
+        assert np.linalg.norm(res.r_hat - r_ref) <= 1e-9 * np.linalg.norm(r_ref)
+
+    def test_lift_and_gram_are_read_only(self):
+        Y, S, sigma_w2 = self.block()
+        A, _ = build_smv(sample_covariance(Y), S, sigma_w2)
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
+        assert detect._memo.lift is A
+        with pytest.raises(ValueError):
+            detect._memo.gram[0, 0] = 0.0
+
+    def test_non_finite_code_is_still_rejected(self):
+        Y, S, sigma_w2 = self.block()
+        S[0, 0] = np.nan
+        with pytest.raises(InvalidParameterError):
+            detect_activity(Y, S, sigma_w2)
+
+    def test_old_lift_is_freed_before_the_next_is_built(self, monkeypatch):
+        Y1, S1, sigma_w2 = self.block(seed=6)
+        Y2, S2, _ = self.block(seed=7)
+        detect_activity(Y1, S1, sigma_w2)
+        old = weakref.ref(build_smv(sample_covariance(Y1), S1, sigma_w2)[0])
+        alive_at_build = []
+
+        def lift(S):
+            alive_at_build.append(old() is not None)
+            return khatri_rao_dictionary(S)
+
+        monkeypatch.setattr(detect, "khatri_rao_dictionary", lift)
+        detect_activity(Y2, S2, sigma_w2)
+        assert alive_at_build == [False]
+        assert old() is None

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gfdetect
-from gfdetect import harness
+from gfdetect import detect, harness
 from gfdetect.cli import main
 from gfdetect.errors import ConfigError, InvalidParameterError
 from gfdetect.harness import (
@@ -231,6 +231,39 @@ class TestRunSweep:
         assert [dataclasses.replace(r, runtime_ms=0.0) for r in seq] == [
             dataclasses.replace(r, runtime_ms=0.0) for r in par
         ]
+
+    def test_worker_pool_matches_sequential_on_a_shared_code(self):
+        # forked workers inherit the parent's lift memo
+        cfg = quick_config(redraw_pilots=False, sweep_axis="snr", sweep_values=(0.0, 10.0), trials=6,
+                           detector="cov-lasso,msbl")
+        seq = run_sweep(cfg)
+        par = run_sweep(dataclasses.replace(cfg, workers=3))
+        assert len(seq) == 4
+        assert [dataclasses.replace(r, runtime_ms=0.0) for r in seq] == [
+            dataclasses.replace(r, runtime_ms=0.0) for r in par
+        ]
+
+    def test_shared_code_lifted_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting_lift(S):
+            calls.append(S.shape)
+            return original(S)
+
+        original = detect.khatri_rao_dictionary
+        monkeypatch.setattr(detect, "khatri_rao_dictionary", counting_lift)
+        monkeypatch.setattr(detect, "_memo", None)
+        cfg = quick_config(redraw_pilots=False, sweep_axis="snr", sweep_values=(0.0, 10.0),
+                           trials=3, detector="cov-lasso,msbl")
+        cold = run_sweep(cfg)
+        assert calls == [(cfg.L, cfg.K)]
+        warm = run_sweep(cfg)  # the memo still holds this sweep's lift
+        assert len(calls) == 1
+        assert [dataclasses.replace(r, runtime_ms=0.0) for r in cold] == [
+            dataclasses.replace(r, runtime_ms=0.0) for r in warm
+        ]
+        run_sweep(dataclasses.replace(cfg, redraw_pilots=True))
+        assert len(calls) == 1 + 2 * cfg.trials
 
     def test_shared_dictionary_drawn_once_per_sweep(self, monkeypatch):
         calls = []
