@@ -7,10 +7,13 @@ dictionary, and recover the nonnegative per-node power vector with an
 accelerated projected proximal-gradient solver. The support of that vector
 is the set of active nodes.
 
-The lift, its real Gram ``Re(A^H A)`` and the solver's step constant depend
-only on the pilot code. The module keeps them for the last code it saw: a
-sweep with one shared code builds them once, and every later trial whose
-code has equal values reuses them. The lift handed out is read-only.
+Column ``k`` of the lift is ``kron(conj(s_k), s_k)``, so its real Gram is
+``|S^H S|^2`` (entrywise), a ``K x K`` matrix formed from the ``L x K`` code
+without reading the ``L^2 x K`` lift. That Gram and the solver's step
+constant depend only on the code. The module keeps them, with the lift, for
+the last code it saw: a sweep with one shared code builds them once, and
+every later trial whose code has equal values reuses them. The lift handed
+out is read-only.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ class _LiftMemo:
     """The last pilot code's lift with the solver setup that depends only on it."""
 
     code: np.ndarray  # private copy of the pilot code, the memo's key
-    lift: np.ndarray  # read-only, checked finite
-    gram: np.ndarray  # read-only ``Re(A^H A)``
+    lift: np.ndarray  # read-only, finite because ``gram`` is
+    gram: np.ndarray  # read-only ``Re(A^H A) = |S^H S|^2``
     lip: float  # largest eigenvalue of ``gram``
 
 
@@ -83,10 +86,14 @@ def _lift(S: np.ndarray) -> np.ndarray:
     _memo = memo = None  # drop the old lift first, so two are never alive at once
     A = khatri_rao_dictionary(S)
     A.flags.writeable = False
-    if np.all(np.isfinite(A)):  # a non-finite lift is left for nn_lasso to reject
-        gram, lip = _gram_and_lip(A)
+    code = np.array(S, dtype=complex)
+    C = code.conj().T @ code
+    gram = C.real**2 + C.imag**2
+    # every squared entry of lift column k is at most gram[k, k] = ||s_k||^4, so a
+    # finite Gram means a finite lift; a non-finite one is left for nn_lasso to reject
+    if np.all(np.isfinite(gram)):
         gram.flags.writeable = False
-        _memo = _LiftMemo(np.array(S, dtype=complex), A, gram, lip)
+        _memo = _LiftMemo(code, A, gram, _spectral_norm_sq(gram))
     return A
 
 
@@ -182,23 +189,25 @@ def nn_lasso(
     ``G = Re(A^H A)`` (formed as ``B^T B`` with ``B = [Re A; Im A]``) and
     ``b = Re(A^H x)``. The solver is a monotone accelerated projected
     proximal-gradient method with the step set by the largest eigenvalue of
-    ``G`` (power iteration); it carries ``G r`` and ``G z`` between
-    iterations, so each iteration costs one ``K x K`` product. Momentum is
-    restarted whenever the accelerated step fails to decrease the objective,
-    which keeps the objective non-increasing. Convergence is declared when
-    the relative objective decrease drops below ``objective_tolerance``.
-    ``lam=None`` selects :func:`default_penalty` for ``snapshots`` averaged
-    antennas; ``known_sparsity`` is passed to :func:`extract_support`.
-    When ``A`` is the lift object :func:`build_smv` last returned, ``G`` and
-    its largest eigenvalue are the ones formed with that lift; any other
-    ``A``, a copy included, gets its own.
+    ``G`` (power iteration); it carries each point with its Gram product as
+    one ``2 x K`` array ``[r; G r]``, so each iteration costs one ``K x K``
+    product. Momentum is restarted whenever the accelerated step fails to
+    decrease the objective, which keeps the objective non-increasing.
+    Convergence is declared when the relative objective decrease drops below
+    ``objective_tolerance``. ``lam=None`` selects :func:`default_penalty`
+    for ``snapshots`` averaged antennas; ``known_sparsity`` is passed to
+    :func:`extract_support`. When ``A`` is the lift object
+    :func:`build_smv` last returned, ``G`` is the ``|S^H S|^2`` formed from
+    that lift's pilot code, with its largest eigenvalue, and the lift itself
+    is not read to set them up; any other ``A``, a copy included, gets its
+    own ``G``.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
     memo = _memo if _memo is not None and A is _memo.lift else None
     if A.ndim != 2 or A.shape[0] != x.size or A.shape[1] < 1:
         raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
-    # the memo's lift was checked when it was built
+    # the memo's lift is finite: its Gram was checked when it was built
     if (memo is None and not np.all(np.isfinite(A))) or not np.all(np.isfinite(x)):
         raise InvalidParameterError("A and x must be finite")
     if lam is not None and (lam < 0 or not math.isfinite(lam)):
@@ -217,43 +226,41 @@ def nn_lasso(
         lam = _penalty_rule(corr, snapshots)
 
     step = 1.0 / (1.01 * lip) if lip > 0 else 1.0
+    offset = lam - b  # the gradient at r, plus lam, is gram @ r + offset
+    half_x = 0.5 * xnorm2
 
-    def objective(r: np.ndarray, gram_r: np.ndarray) -> float:
-        return float(0.5 * (r @ gram_r) - b @ r + 0.5 * xnorm2 + lam * r.sum())
+    def objective(state: np.ndarray) -> float:
+        return float(state[0] @ (0.5 * state[1] + offset)) + half_x
 
-    # g_r, g_z and g_y hold gram @ r, gram @ z and gram @ y
-    r = np.zeros(K)
-    g_r = np.zeros(K)
-    obj = objective(r, g_r)
-    y, g_y = r, g_r
+    # each state is the 2 x K array [r; gram @ r]
+    cur = np.zeros((2, K))
+    obj = objective(cur)
+    ahead = cur
     t = 1.0
     history = [obj]
     converged = False
     iterations = 0
-    plain_step = True  # y currently equals r (no momentum in flight)
+    plain_step = True  # ahead currently equals cur (no momentum in flight)
 
     eps = np.finfo(float).eps
     for iterations in range(1, max_iterations + 1):
-        grad = g_y - b
-        z = y - step * (grad + lam)
-        np.maximum(z, 0.0, out=z)
-        g_z = gram @ z
-        obj_z = objective(z, g_z)
+        new = np.empty((2, K))
+        np.maximum(ahead[0] - step * (ahead[1] + offset), 0.0, out=new[0])
+        np.dot(gram, new[0], out=new[1])
+        obj_new = objective(new)
         # an unaccelerated step with a valid step size cannot increase the
         # true objective; apparent rises within float noise are accepted
         slack = 32.0 * eps * max(abs(obj), 1.0) if plain_step else 0.0
-        if obj_z <= obj + slack:
+        if obj_new <= obj + slack:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            # gram is linear, so gram @ y follows from gram @ z and gram @ r
-            y = z + beta * (z - r)
-            g_y = g_z + beta * (g_z - g_r)
-            r, g_r = z, g_z
+            # gram is linear, so one expression moves the point and its product
+            ahead = new + ((t - 1.0) / t_next) * (new - cur)
+            cur = new
             t = t_next
             plain_step = False
-            history.append(obj_z)
-            decrease = obj - obj_z
-            obj = obj_z
+            history.append(obj_new)
+            decrease = obj - obj_new
+            obj = obj_new
             # strict: a zero tolerance disables the plateau stop entirely
             if max(decrease, 0.0) < objective_tolerance * max(abs(obj), 1e-30):
                 converged = True
@@ -263,11 +270,12 @@ def nn_lasso(
             # unaccelerated step fails the step size was too optimistic
             if plain_step:
                 step *= 0.5
-            y, g_y = r, g_r
+            ahead = cur
             t = 1.0
             plain_step = True
             history.append(obj)
 
+    r = cur[0]
     return DetectionResult(
         r_hat=r,
         support_hat=extract_support(r, known_sparsity),
@@ -332,7 +340,12 @@ def detect_activity(
     lam: float | None = None,
     known_sparsity: int | None = None,
 ) -> DetectionResult:
-    """Full covariance-domain detection on a received pilot block and its ``L x K`` pilot code."""
+    """Full covariance-domain detection on a received pilot block and its ``L x K`` pilot code.
+
+    With ``L = 1`` and unit-norm columns every lifted column is
+    ``|s_k|^2 = 1``, so all entries of ``r_hat`` are equal up to rounding and
+    a ``known_sparsity`` pick among them is a tie that rounding decides.
+    """
     Y = np.asarray(Y_p)
     A, x = build_smv(sample_covariance(Y), S, sigma_w2)
     return nn_lasso(A, x, lam, Y.shape[0], known_sparsity)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import weakref
 
@@ -409,6 +410,45 @@ def test_pinned_cov_lasso_supports(case, iterations, known_sup, own_sup):
     assert extract_support(res.r_hat).indices == own_sup
 
 
+def fresh_code_trials():
+    """200 fig2-geometry trials at 0 dB, a fresh code each, D cycling over 2-12."""
+    for i in range(200):
+        D = (2, 4, 6, 8, 10, 12)[i % 6]
+        Y, S, sigma_w2 = pilot_block(1000 + i, D, 0.0, 128, 64, 20)
+        yield detect_activity(Y, S, sigma_w2, known_sparsity=D)
+
+
+def shared_code_trials():
+    """200 trials on one ``K=256 L=40`` code, ``M=128 D=20``, SNR cycling over 0, 5, 10 dB."""
+    S = gen_gaussian_dictionary(40, 256, derive_rng(1400, 34))
+    for i in range(200):
+        rng = derive_rng(1400 + i, 35)
+        H = draw_channel_gaussian(128, draw_support(256, rng, size=20), rng)
+        sigma_w2 = noise_variance((0.0, 5.0, 10.0)[i % 3])
+        yield detect_activity(received_pilot(H, S, sigma_w2, rng), S, sigma_w2, known_sparsity=20)
+
+
+def detection_digest(results):
+    """SHA-256 over each trial's iteration count, D-given support and own-rule support."""
+    h = hashlib.sha256()
+    for res in results:
+        h.update(repr((res.iterations, res.support_hat.indices,
+                       extract_support(res.r_hat).indices)).encode())
+    return h.hexdigest()
+
+
+# captured with the lift-Gram solver (commit 77fddb0)
+PINNED_DIGESTS = {
+    fresh_code_trials: "412f1a1dd7d125bd1dc2396ba219082da83ac3897cafc31cb58fd6719f82766f",
+    shared_code_trials: "e0e66290fcc2f2d28b84a1a1f7f7c0e58764a87fcc38413d3f916c1ab9df2b1f",
+}
+
+
+@pytest.mark.parametrize("trials", list(PINNED_DIGESTS), ids=lambda f: f.__name__)
+def test_pinned_200_trial_digest(trials):
+    assert detection_digest(trials()) == PINNED_DIGESTS[trials]
+
+
 def _nn_lasso_complex_gram(A, x, lam, max_iterations=2000, objective_tolerance=1e-10):
     """The solver on the complex Gram ``A^H A``: two ``K x K`` products per iteration."""
     K = A.shape[1]
@@ -481,8 +521,10 @@ def test_real_gram_solver_matches_the_complex_gram_form(seed, L, extra_K, M, dat
     assert np.linalg.norm(res.r_hat - r_old) <= 1e-9 * np.linalg.norm(r_old)
 
 
-# The lift memo: one shared code builds its lift, Gram and step once, and
-# every answer equals the one computed without the memo.
+# The lift memo: one shared code builds its lift, Gram and step once. A memo
+# hit repeats the miss bit for bit. The memo's Gram is |S^H S|^2 from the code
+# and a memo-free solve forms B^T B from the lift, so the two agree in every
+# count and decision and in r_hat to rounding.
 
 
 def memo_free_detection(Y, S, sigma_w2, known_sparsity=None):
@@ -500,6 +542,15 @@ def assert_same_detection(a, b):
     assert np.array_equal(a.objective_history, b.objective_history)
 
 
+def assert_matches_memo_free(memo, free, L):
+    assert memo.iterations == free.iterations
+    assert memo.converged == free.converged
+    assert memo.lam == free.lam
+    assert np.linalg.norm(memo.r_hat - free.r_hat) <= 1e-9 * np.linalg.norm(free.r_hat)
+    if L >= 2:  # at L = 1 the known-sparsity pick is a tie (see the L = 1 test)
+        assert memo.support_hat == free.support_hat
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -509,7 +560,7 @@ def assert_same_detection(a, b):
     data=st.data(),
     snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
 )
-def test_memoized_lift_gives_the_memo_free_answer_bit_for_bit(seed, L, extra_K, M, data, snr_db):
+def test_memoized_lift_matches_the_memo_free_answer(seed, L, extra_K, M, data, snr_db):
     K = L + extra_K
     D = data.draw(st.integers(0, min(K, 10)), label="D")
     rng = derive_rng(seed, 33)
@@ -523,7 +574,35 @@ def test_memoized_lift_gives_the_memo_free_answer_bit_for_bit(seed, L, extra_K, 
     warm = detect_activity(Y, S, sigma_w2, known_sparsity=D)
     assert detect._memo is not None
     assert_same_detection(cold, warm)
-    assert_same_detection(cold, memo_free_detection(Y, S, sigma_w2, D))
+    assert_matches_memo_free(cold, memo_free_detection(Y, S, sigma_w2, D), L)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_pilot_symbol_spreads_power_evenly(seed):
+    # at L = 1 every lift column is |s_k|^2 = 1 up to rounding, so the solver
+    # keeps all entries equal and the known-sparsity pick is a tie
+    D = 3
+    Y, S, sigma_w2 = pilot_block(300 + seed, D, 10.0, 64, 12, 1)
+    res = detect_activity(Y, S, sigma_w2, known_sparsity=D)
+    r = res.r_hat
+    assert np.max(r) - np.min(r) <= 1e-12 * np.max(r)
+    assert len(res.support_hat.indices) == min(D, int(np.count_nonzero(r > 0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), K=st.integers(1, 40))
+def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
+    rng = derive_rng(seed, 36)
+    S = gen_gaussian_dictionary(L, K, rng) * 10.0 ** rng.uniform(0.0, 2.0, size=K)
+    detect._memo = None
+    A = detect._lift(S)
+    memo = detect._memo
+    assert memo.lift is A
+    norms2 = np.linalg.norm(S, axis=0) ** 2
+    ulps = 2 * (L + 2) * np.finfo(float).eps
+    assert np.all(np.abs(memo.gram - (A.conj().T @ A).real) <= ulps * np.outer(norms2, norms2))
+    top = np.linalg.eigvalsh(memo.gram)[-1]
+    assert abs(memo.lip - top) <= 1e-10 * top
 
 
 class TestLiftMemo:
@@ -536,7 +615,7 @@ class TestLiftMemo:
         first = detect_activity(Y, S, sigma_w2, known_sparsity=3)
         S[:] = S[:, ::-1]  # same values in a new column order
         edited = detect_activity(Y, S, sigma_w2, known_sparsity=3)
-        assert_same_detection(edited, memo_free_detection(Y, S, sigma_w2, 3))
+        assert_matches_memo_free(edited, memo_free_detection(Y, S, sigma_w2, 3), S.shape[0])
         assert not np.array_equal(first.r_hat, edited.r_hat)
         A, _ = build_smv(sample_covariance(Y), S, sigma_w2)
         assert np.array_equal(A, khatri_rao_dictionary(S))
@@ -565,6 +644,18 @@ class TestLiftMemo:
         S[0, 0] = np.nan
         with pytest.raises(InvalidParameterError):
             detect_activity(Y, S, sigma_w2)
+
+    def test_finite_code_whose_lift_overflows_is_rejected(self):
+        # ||s_k||^4 overflows first, so the Gram check catches every overflowing lift
+        Y, S, sigma_w2 = self.block()
+        huge = S * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, x = build_smv(sample_covariance(Y), huge, sigma_w2)
+            assert np.all(np.isfinite(huge)) and np.all(np.isfinite(x))
+            assert not np.all(np.isfinite(A))
+            assert detect._memo is None
+            with pytest.raises(InvalidParameterError):
+                detect_activity(Y, huge, sigma_w2)
 
     def test_old_lift_is_freed_before_the_next_is_built(self, monkeypatch):
         Y1, S1, sigma_w2 = self.block(seed=6)
