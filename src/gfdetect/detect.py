@@ -9,11 +9,12 @@ is the set of active nodes.
 
 Column ``k`` of the lift is ``kron(conj(s_k), s_k)``, so its real Gram is
 ``|S^H S|^2`` (entrywise), a ``K x K`` matrix formed from the ``L x K`` code
-without reading the ``L^2 x K`` lift. That Gram and the solver's step
-constant depend only on the code. The module keeps them, with the lift, for
-the last code it saw: a sweep with one shared code builds them once, and
-every later trial whose code has equal values reuses them. The lift handed
-out is read-only.
+without reading the ``L^2 x K`` lift, and entry ``k`` of ``A^H x`` is
+``s_k^H X s_k`` with ``X`` the ``L x L`` matrix that ``x`` vectorizes. The
+Gram and the solver's step constant depend only on the code. The module
+keeps them, with the code and the lift, for the last code it saw: a sweep
+with one shared code builds them once, and every later trial whose code has
+equal values reuses them. The lift handed out is read-only.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
 class _LiftMemo:
     """The last pilot code's lift with the solver setup that depends only on it."""
 
-    code: np.ndarray  # private copy of the pilot code, the memo's key
+    code: np.ndarray  # private copy of the pilot code: the memo's key, and what A^H x reads
     lift: np.ndarray  # read-only, finite because ``gram`` is
     gram: np.ndarray  # read-only ``Re(A^H A) = |S^H S|^2``
     lip: float  # largest eigenvalue of ``gram``
@@ -87,13 +88,15 @@ def _lift(S: np.ndarray) -> np.ndarray:
     A = khatri_rao_dictionary(S)
     A.flags.writeable = False
     code = np.array(S, dtype=complex)
-    C = code.conj().T @ code
-    gram = C.real**2 + C.imag**2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        C = code.conj().T @ code
+        gram = C.real**2 + C.imag**2
     # every squared entry of lift column k is at most gram[k, k] = ||s_k||^4, so a
     # finite Gram means a finite lift; a non-finite one is left for nn_lasso to reject
-    if np.all(np.isfinite(gram)):
+    lip = _step_constant(gram)
+    if lip is not None:
         gram.flags.writeable = False
-        _memo = _LiftMemo(code, A, gram, _spectral_norm_sq(gram))
+        _memo = _LiftMemo(code, A, gram, lip)
     return A
 
 
@@ -149,27 +152,54 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
     """Largest eigenvalue of the symmetric PSD Gram matrix via power iteration."""
     K = gram.shape[0]
     v = np.ones(K) / math.sqrt(K)
+    w = gram @ v
     value = 0.0
     for _ in range(iterations):
-        w = gram @ v
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v = w / nw
-        new_value = float(v @ (gram @ v))
+        w = gram @ v  # the Rayleigh product is also the next step's power product
+        new_value = float(v @ w)
         if abs(new_value - value) <= rtol * max(new_value, 1.0):
             return new_value
         value = new_value
     return value
 
 
+def _step_constant(gram: np.ndarray) -> float | None:
+    """Largest eigenvalue of ``gram``, or ``None`` when it or ``gram`` is not finite."""
+    if not np.all(np.isfinite(gram)):
+        return None
+    lip = _spectral_norm_sq(gram)
+    return lip if math.isfinite(lip) else None
+
+
 def _gram_and_lip(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """``Re(A^H A)`` and its largest eigenvalue, the solver's step constant."""
+    """``Re(A^H A)`` and its largest eigenvalue, the solver's step constant.
+
+    A finite ``A`` whose Gram or step constant overflows is rejected.
+    """
     # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
     B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
-    gram = B.T @ B
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        gram = B.T @ B
     del B
-    return gram, _spectral_norm_sq(gram)
+    lip = _step_constant(gram)
+    if lip is None:
+        raise InvalidParameterError("the Gram of A, or its largest eigenvalue, overflows")
+    return gram, lip
+
+
+def _lift_correlation(code: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A^H x`` for the lift ``A`` of ``code``, read from the ``L x K`` code.
+
+    Entry ``k`` is ``s_k^H X s_k`` with ``X`` the ``L x L`` unvectorization of
+    ``x``; one ``L x L x K`` product, for any complex ``x``.
+    """
+    L = code.shape[0]
+    # x.reshape(L, L) is X^T, and s_k^T X^T conj(s_k) = s_k^H X s_k
+    return np.sum(code * (x.reshape(L, L) @ code.conj()), axis=0)
 
 
 def nn_lasso(
@@ -198,9 +228,10 @@ def nn_lasso(
     for ``snapshots`` averaged antennas; ``known_sparsity`` is passed to
     :func:`extract_support`. When ``A`` is the lift object
     :func:`build_smv` last returned, ``G`` is the ``|S^H S|^2`` formed from
-    that lift's pilot code, with its largest eigenvalue, and the lift itself
-    is not read to set them up; any other ``A``, a copy included, gets its
-    own ``G``.
+    that lift's pilot code, with its largest eigenvalue, and ``A^H x`` is
+    formed from the ``L x K`` code too, so no entry of the lift is read; any
+    other ``A``, a copy included, gets its own ``G`` and ``A^H x``. A finite
+    ``A`` whose ``G`` overflows is rejected.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
@@ -219,7 +250,7 @@ def nn_lasso(
 
     K = A.shape[1]
     gram, lip = _gram_and_lip(A) if memo is None else (memo.gram, memo.lip)
-    corr = _adjoint_product(A, x)
+    corr = _adjoint_product(A, x) if memo is None else _lift_correlation(memo.code, x)
     b = corr.real
     xnorm2 = float(np.real(np.vdot(x, x)))
     if lam is None:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -522,9 +524,10 @@ def test_real_gram_solver_matches_the_complex_gram_form(seed, L, extra_K, M, dat
 
 
 # The lift memo: one shared code builds its lift, Gram and step once. A memo
-# hit repeats the miss bit for bit. The memo's Gram is |S^H S|^2 from the code
-# and a memo-free solve forms B^T B from the lift, so the two agree in every
-# count and decision and in r_hat to rounding.
+# hit repeats the miss bit for bit. The memo's Gram is |S^H S|^2 and its A^H x
+# is s_k^H X s_k, both from the code, while a memo-free solve forms B^T B and
+# A^H x from the lift, so the two agree in every count and decision, in lam to
+# a few ulps and in r_hat to rounding.
 
 
 def memo_free_detection(Y, S, sigma_w2, known_sparsity=None):
@@ -545,7 +548,7 @@ def assert_same_detection(a, b):
 def assert_matches_memo_free(memo, free, L):
     assert memo.iterations == free.iterations
     assert memo.converged == free.converged
-    assert memo.lam == free.lam
+    assert abs(memo.lam - free.lam) <= 8 * np.finfo(float).eps * free.lam
     assert np.linalg.norm(memo.r_hat - free.r_hat) <= 1e-9 * np.linalg.norm(free.r_hat)
     if L >= 2:  # at L = 1 the known-sparsity pick is a tie (see the L = 1 test)
         assert memo.support_hat == free.support_hat
@@ -605,6 +608,72 @@ def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
     assert abs(memo.lip - top) <= 1e-10 * top
 
 
+def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
+    """The power iteration with its own Rayleigh product: two ``gram @ v`` per step."""
+    K = gram.shape[0]
+    v = np.ones(K) / math.sqrt(K)
+    value = 0.0
+    for _ in range(iterations):
+        w = gram @ v
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return 0.0
+        v = w / nw
+        new_value = float(v @ (gram @ v))
+        if abs(new_value - value) <= rtol * max(new_value, 1.0):
+            return new_value
+        value = new_value
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), K=st.integers(1, 40),
+       iterations=st.integers(1, 200), zero=st.booleans())
+def test_power_iteration_reuses_its_rayleigh_product_bit_for_bit(seed, rows, K, iterations, zero):
+    rng = derive_rng(seed, 37)
+    B = rng.standard_normal((rows, K)) * 10.0 ** rng.uniform(-3.0, 3.0, size=K)
+    gram = np.zeros((K, K)) if zero else B.T @ B
+    assert detect._spectral_norm_sq(gram, iterations) == _spectral_norm_sq_two_products(
+        gram, iterations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 40), K=st.integers(1, 60),
+       x_scale=st.floats(-3.0, 3.0), hermitian=st.booleans())
+def test_code_correlation_is_the_adjoint_product_of_the_lift(seed, L, K, x_scale, hermitian):
+    # s_k^H X s_k and a_k^H x sum the same L^2 products in another order
+    rng = derive_rng(seed, 38)
+    S = gen_gaussian_dictionary(L, K, rng) * 10.0 ** rng.uniform(-3.0, 3.0, size=K)
+    X = complex_normal(rng, (L, L)) * 10.0**x_scale
+    if hermitian:
+        X = X + X.conj().T
+    x = X.ravel(order="F")
+    got = detect._lift_correlation(S, x)
+    expected = detect._adjoint_product(khatri_rao_dictionary(S), x)
+    scale = np.einsum("ik,ij,jk->k", np.abs(S), np.abs(X), np.abs(S))  # sum of |terms|
+    assert np.all(np.abs(got - expected) <= 6 * np.finfo(float).eps * scale)
+
+
+def test_memo_hit_does_not_read_the_lift_for_the_correlation(monkeypatch):
+    Y, S, sigma_w2 = pilot_block(8, 4, 5.0, 60, 30, 8)
+    detect._memo = None
+    cold = detect_activity(Y, S, sigma_w2, known_sparsity=4)
+    lift = detect._memo.lift
+    calls = []
+    adjoint = detect._adjoint_product
+
+    def recording(A, v):
+        calls.append(A is lift)
+        return adjoint(A, v)
+
+    monkeypatch.setattr(detect, "_adjoint_product", recording)
+    warm = detect_activity(Y, S, sigma_w2, known_sparsity=4)
+    assert calls == []
+    assert_same_detection(cold, warm)
+    nn_lasso(lift.copy(), build_smv(sample_covariance(Y), S, sigma_w2)[1], snapshots=60)
+    assert calls == [False]  # any other A still gets its own A^H x
+
+
 class TestLiftMemo:
     def block(self, seed=5):
         return pilot_block(seed, 3, 5.0, 40, 14, 6)
@@ -656,6 +725,19 @@ class TestLiftMemo:
             assert detect._memo is None
             with pytest.raises(InvalidParameterError):
                 detect_activity(Y, huge, sigma_w2)
+
+    def test_finite_lift_whose_gram_overflows_is_rejected(self):
+        # ||s_k||^4 overflows but the lift's entries do not: the lift is finite, yet
+        # its Gram is not, so nothing is memoized and nn_lasso's own Gram is checked
+        Y, S, sigma_w2 = self.block()
+        huge = S * 1e80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, _ = build_smv(sample_covariance(Y), huge, sigma_w2)
+            assert np.all(np.isfinite(A))
+            assert detect._memo is None
+            with pytest.raises(InvalidParameterError):
+                detect_activity(Y, huge, sigma_w2, known_sparsity=3)
 
     def test_old_lift_is_freed_before_the_next_is_built(self, monkeypatch):
         Y1, S1, sigma_w2 = self.block(seed=6)

@@ -440,6 +440,15 @@ class TestCli:
         code = main(["sweep", "--config", str(cfg), "--trials", "3", "--out", str(out)])
         assert code == 0
 
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # a one-process sweep never starts a pool, so a cold start does not import one
+        src = str(Path(gfdetect.__file__).resolve().parents[1])
+        code = "import sys, gfdetect.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
     def test_console_entry_point(self):
         # the child imports the package under test, wherever sys.path found it
         src = str(Path(gfdetect.__file__).resolve().parents[1])

@@ -212,6 +212,25 @@ class TestReceivedSignals:
         Y_d = received_data(H, S.conj().T, variance, derive_rng(seed, 14))
         assert np.array_equal(Y_p, Y_d)
 
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 64), L=st.integers(1, 16),
+           K=st.integers(1, 48), data=st.data(), ula=st.booleans(),
+           variance=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_active_columns_give_the_full_product(self, seed, M, L, K, data, ula, variance):
+        # the channel is zero off its support, so H S^H needs only the active columns
+        D = data.draw(st.integers(0, K), label="D")
+        rng = derive_rng(seed, 15)
+        support = draw_support(K, rng, size=D)
+        H = draw_channel_ula(M, 3, support, rng) if ula else draw_channel_gaussian(M, support, rng)
+        S = complex_normal(rng, (L, K))
+        active = list(support.indices)
+        full_rng, active_rng = derive_rng(seed, 16), derive_rng(seed, 16)
+        full = received_pilot(H, S, variance, full_rng)
+        part = received_pilot(H[:, active], S[:, active], variance, active_rng)
+        assert full_rng.bit_generator.state == active_rng.bit_generator.state
+        if D == 0:
+            assert np.array_equal(full, part)
+        assert np.linalg.norm(full - part) <= 1e-12 * np.linalg.norm(full)
+
 
 class TestNoiseVariance:
     def test_snr_mapping(self):
