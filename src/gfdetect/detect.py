@@ -32,7 +32,6 @@ __all__ = [
     "DetectionResult",
     "sample_covariance",
     "build_smv",
-    "default_penalty",
     "nn_lasso",
     "kkt_residual",
     "extract_support",
@@ -139,18 +138,18 @@ def _penalty_rule(corr: np.ndarray, snapshots: int) -> float:
     return 0.1 * peak * math.sqrt(math.log(max(K, 2)) / snapshots)
 
 
-def default_penalty(A: np.ndarray, x: np.ndarray, snapshots: int) -> float:
-    """Scale-aware l1 penalty: ``0.1 * max|A^H x| * sqrt(log(K)/snapshots)``.
-
-    Tracks the 1/snapshots shrinkage of the covariance fluctuation so the
-    penalty fades as more antennas are averaged.
-    """
-    return _penalty_rule(_adjoint_product(np.asarray(A), np.asarray(x)), snapshots)
-
-
 def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-12) -> float:
-    """Largest eigenvalue of the symmetric PSD Gram matrix via power iteration."""
+    """Largest eigenvalue of the symmetric PSD Gram matrix via power iteration.
+
+    Past ``K * max(diag) > 2**500`` the iteration runs on ``gram`` scaled by an
+    exact power of two, so ``||gram @ v||^2`` cannot overflow; the result is
+    scaled back (``inf`` if that overflows). An iteration that has not
+    converged in ``iterations`` steps, still low, gives way to ``eigvalsh``.
+    """
     K = gram.shape[0]
+    top = float(np.max(np.diagonal(gram), initial=0.0))  # a PSD Gram's largest entry
+    e = math.frexp(top)[1] if K * top > 2.0**500 else 0
+    gram = np.ldexp(gram, -e) if e else gram
     v = np.ones(K) / math.sqrt(K)
     w = gram @ v
     value = 0.0
@@ -162,9 +161,14 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
         w = gram @ v  # the Rayleigh product is also the next step's power product
         new_value = float(v @ w)
         if abs(new_value - value) <= rtol * max(new_value, 1.0):
-            return new_value
+            break
         value = new_value
-    return value
+    else:
+        new_value = float(np.linalg.eigvalsh(gram)[-1])
+    try:
+        return math.ldexp(new_value, e)
+    except OverflowError:
+        return math.inf
 
 
 def _step_constant(gram: np.ndarray) -> float | None:
@@ -224,7 +228,7 @@ def nn_lasso(
     product. Momentum is restarted whenever the accelerated step fails to
     decrease the objective, which keeps the objective non-increasing.
     Convergence is declared when the relative objective decrease drops below
-    ``objective_tolerance``. ``lam=None`` selects :func:`default_penalty`
+    ``objective_tolerance``. ``lam=None`` selects :func:`_penalty_rule`
     for ``snapshots`` averaged antennas; ``known_sparsity`` is passed to
     :func:`extract_support`. When ``A`` is the lift object
     :func:`build_smv` last returned, ``G`` is the ``|S^H S|^2`` formed from

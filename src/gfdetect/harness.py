@@ -103,7 +103,6 @@ class ExperimentConfig:
     use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
     spread_length: int = field(default=0, metadata={"key": "spread"})
     redraw_pilots: bool = True
-    compute_bound: bool = field(default=False, metadata={"key": "bound"})
     workers: int = 1
     stream: int = field(default=0, metadata=_NO_KEY)  # sweep-point index, set by the harness
 
@@ -375,7 +374,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
 
     Needs a fixed penalty, a shared pilot dictionary of at least two
     columns, the Gaussian channel with unit variances, a fixed activity
-    level, and nonzero noise.
+    level ``D >= 1``, nonzero noise, and a coherence that admits ``D``.
     """
     if (
         pc.lam is None
@@ -389,7 +388,6 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
     if sigma_w2 <= 0:
         return None
     S = _shared_pilots(pc)
-    sigma_w = math.sqrt(sigma_w2)
     try:
         inputs = theory.BoundInputs(
             lam=pc.lam,
@@ -399,8 +397,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
             M=pc.M,
             sigma_max_1=1.0,
             sigma_max_2=1.0,
-            sigma_w_max_1=sigma_w,
-            sigma_w_max_2=sigma_w,
+            sigma_w=math.sqrt(sigma_w2),
             S_infnorm=float(np.max(np.abs(S))),
             sigma_min2=1.0,
         )
@@ -413,6 +410,8 @@ def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
     """Run all sweep points and aggregate per-detector metric rows.
 
     With ``workers > 1`` one process pool runs the trials of every point.
+    A ``cov-lasso`` row carries the point's recovery floor wherever
+    :func:`_point_bound` defines it.
     """
     config.validate()
     points = _sweep_points(config)
@@ -431,7 +430,7 @@ def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
     for p, (value, pc) in enumerate(points):
         point_records = records[p * config.trials:(p + 1) * config.trials]
-        bound = _point_bound(pc) if pc.compute_bound else None
+        bound = _point_bound(pc)
         for name in pc.detector_list():
             per = [rec.metrics[name] for rec in point_records]
             rows.append(

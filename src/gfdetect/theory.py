@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolatedError, InvalidParameterError
+from .pilots import max_identifiable_support
 
 __all__ = [
     "BoundInputs",
@@ -36,9 +37,9 @@ class BoundInputs:
     """Everything the bound evaluation needs about one configuration.
 
     ``sigma_max_1/2`` are the two largest active-channel standard deviations,
-    ``sigma_w_max_1/2`` the two largest noise standard deviations (equal for
-    white noise), ``S_infnorm`` the largest pilot-entry magnitude, and
-    ``sigma_min2`` the smallest active-channel variance.
+    ``sigma_w`` the white-noise standard deviation, ``S_infnorm`` the largest
+    pilot-entry magnitude, and ``sigma_min2`` the smallest active-channel
+    variance; ``D`` may not exceed ``max_identifiable_support(mu)``.
     """
 
     lam: float
@@ -48,8 +49,7 @@ class BoundInputs:
     M: int
     sigma_max_1: float
     sigma_max_2: float
-    sigma_w_max_1: float
-    sigma_w_max_2: float
+    sigma_w: float
     S_infnorm: float
     sigma_min2: float
 
@@ -59,8 +59,7 @@ class BoundInputs:
             "mu": self.mu,
             "sigma_max_1": self.sigma_max_1,
             "sigma_max_2": self.sigma_max_2,
-            "sigma_w_max_1": self.sigma_w_max_1,
-            "sigma_w_max_2": self.sigma_w_max_2,
+            "sigma_w": self.sigma_w,
             "S_infnorm": self.S_infnorm,
             "sigma_min2": self.sigma_min2,
         }
@@ -70,7 +69,7 @@ class BoundInputs:
         for name, value in (("D", self.D), ("L", self.L), ("M", self.M)):
             if value < 1:
                 raise InvalidParameterError(f"{name} must be >= 1, got {value}")
-        if self.D >= 0.5 * (1.0 + 1.0 / self.mu**2):
+        if self.D > max_identifiable_support(self.mu):
             raise ConditionViolatedError(
                 f"sparsity D={self.D} violates D < (1 + 1/mu^2)/2 for mu={self.mu}"
             )
@@ -117,10 +116,11 @@ def chernoff_power_rate(C: float, sigma_min2: float) -> float:
     return math.sqrt(best)
 
 
-def deltas(inputs: BoundInputs, C1: float, C2: float) -> tuple[float, float]:
+def deltas(inputs: BoundInputs) -> tuple[float, float]:
     """Concentration exponents ``(delta1, delta2)`` for the two cross-term fluctuations.
 
-    ``C1 + C2`` must split ``c1 / L``; ``delta1`` covers channel cross terms
+    The budget ``c1 / L`` is split into ``C1 = _SPLIT * c1/L`` and
+    ``C2 = (1 - _SPLIT) * c1/L``; ``delta1`` covers channel cross terms
     (scaled by the squared pilot sup-norm and the number of active pairs),
     ``delta2`` covers noise cross terms.
     """
@@ -128,18 +128,16 @@ def deltas(inputs: BoundInputs, C1: float, C2: float) -> tuple[float, float]:
         raise ConditionViolatedError(
             f"delta exponents need D >= 2 and L >= 2, got D={inputs.D}, L={inputs.L}"
         )
-    if C1 <= 0 or C2 <= 0:
-        raise InvalidParameterError(f"C1 and C2 must be positive, got {C1}, {C2}")
     c1, _ = lasso_constants(inputs.lam, inputs.mu, inputs.D)
+    if c1 <= 0:
+        raise InvalidParameterError(f"c1 must be positive, got {c1}")
     target = c1 / inputs.L
-    if not math.isclose(C1 + C2, target, rel_tol=1e-9, abs_tol=1e-15):
-        raise ConditionViolatedError(
-            f"C1 + C2 must equal c1/L = {target}, got {C1 + C2}"
-        )
+    C1 = _SPLIT * target
+    C2 = (1.0 - _SPLIT) * target
     t1 = C1 * inputs.M / (inputs.S_infnorm**2 * inputs.D * (inputs.D - 1))
     t2 = C2 * inputs.M / (inputs.L * (inputs.L - 1))
     pair1 = inputs.sigma_max_1 * inputs.sigma_max_2
-    pair2 = inputs.sigma_w_max_1 * inputs.sigma_w_max_2
+    pair2 = inputs.sigma_w * inputs.sigma_w
     delta1 = t1 * t1 / (2.0 * pair1 * (2.0 * pair1 + t1))
     delta2 = t2 * t2 / (2.0 * pair2 * (2.0 * pair2 + t2))
     return delta1, delta2
@@ -157,19 +155,17 @@ def recovery_bound(M: int, D: int, L: int, gamma: float) -> float:
 def evaluate_recovery_bound(inputs: BoundInputs) -> float:
     """End-to-end bound evaluation for one configuration.
 
-    ``c1/L`` is split evenly between the two cross-term budgets
-    (``C1 = _SPLIT * c1/L``). The rate is ``gamma = 0.99 * min(beta_min,
-    exp(delta1), exp(delta2))``, the 0.99 keeping the strict inequality. If
-    the hypotheses fail (``c2 >= sigma_min2``, nonpositive ``c1``, or
-    ``gamma <= 1``) the bound is vacuous and 0.0 is returned.
+    The rate is ``gamma = 0.99 * min(beta_min, exp(delta1), exp(delta2))``,
+    the 0.99 keeping the strict inequality. If the hypotheses fail
+    (``c2 >= sigma_min2``, nonpositive ``c1``, or ``gamma <= 1``) the bound
+    is vacuous and 0.0 is returned.
     """
     c1, c2 = lasso_constants(inputs.lam, inputs.mu, inputs.D)
     if c1 <= 0 or c2 <= 0 or c2 >= inputs.sigma_min2:
         return 0.0
     rate = chernoff_power_rate(c2, inputs.sigma_min2)
     if inputs.D >= 2:  # a single active node has no channel cross terms
-        target = c1 / inputs.L
-        for delta in deltas(inputs, _SPLIT * target, (1.0 - _SPLIT) * target):
+        for delta in deltas(inputs):
             try:
                 rate = min(rate, math.exp(delta))
             except OverflowError:  # exp(delta) is beyond the float range, so above beta

@@ -207,7 +207,7 @@ def test_criterion_06_recovery_floor_consistency():
     # seed chosen so the shared dictionary satisfies the coherence hypothesis
     cfg = ExperimentConfig(
         K=10, L=8, D=2, snr_db=20.0, lam=0.3, seed=7, trials=500,
-        detector="cov-lasso", N=0, redraw_pilots=False, compute_bound=True,
+        detector="cov-lasso", N=0, redraw_pilots=False,
         sweep_axis="antennas", sweep_values=(128, 192, 256, 512),
     )
     rows = run_sweep(cfg)

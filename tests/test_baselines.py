@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfdetect.baselines import MmvProblem, _msbl_step, _snapshot_factor, bomp, mfocuss, msbl
+from gfdetect.baselines import (
+    MmvProblem,
+    _msbl_step,
+    _snapshot_factor,
+    _solve_regularized,
+    bomp,
+    mfocuss,
+    msbl,
+)
 from gfdetect.errors import InvalidParameterError
 from gfdetect.model import (
+    complex_normal,
     derive_rng,
     draw_channel_gaussian,
     draw_support,
@@ -284,6 +293,20 @@ def test_bomp_stops_at_a_zero_residual():
     support = bomp(MmvProblem(Y, S, 0.0), 3)
     assert support.size <= 2
     assert bomp(MmvProblem(1j * Y, S, 0.0), 3) == support
+
+
+def test_singular_inner_system_raises_the_regularization():
+    # lam is below the rounding of G's entries, so G + lam I == G is singular
+    G = np.full((2, 2), 1e20, complex)
+    Y = complex_normal(derive_rng(8, 27), (2, 3))
+    with pytest.warns(RuntimeWarning, match=r"raised to 1\.000e\+08") as record:
+        Z = _solve_regularized(G, 1e-10, Y, np.eye(2))
+    assert len(record) == 1
+    lam_eff = 1e-12 * 1e20  # the bump's floor: 1e-12 times the mean diagonal
+    G_eff = G + lam_eff * np.eye(2)
+    assert np.all(np.isfinite(Z))
+    residual = np.linalg.norm(G_eff @ Z - Y)
+    assert residual <= 1e-12 * np.linalg.norm(G_eff, 2) * np.linalg.norm(Z)
 
 
 def _msbl_step_by_solve(gamma, S, F, M, sigma2):

@@ -39,7 +39,6 @@ KEYS = {
     "channel": ("channel", "ula", "ula", "rayleigh"),
     "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
     "redraw_pilots": ("redraw_pilots", "off", False, "2"),
-    "bound": ("compute_bound", "yes", True, "sure"),
 }
 SWEEP = ("snr:-10:5:0", ("snr", (-10.0, -5.0, 0.0)), "volume:1,2")
 FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
@@ -48,12 +47,12 @@ FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
     "sweep_axis", "sweep_values", "N", "channel", "paths", "lam",
     "use_known_sparsity",
-    "spread_length", "redraw_pilots", "compute_bound", "workers", "stream",
+    "spread_length", "redraw_pilots", "workers", "stream",
 )
 INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "spread")
 FLOAT_KEYS = ("snr", "activity_prob", "lam")
 NULLABLE_KEYS = ("lam", "activity_prob")
-BOOL_KEYS = ("known_sparsity", "redraw_pilots", "bound")
+BOOL_KEYS = ("known_sparsity", "redraw_pilots")
 TRUE_WORDS = ("1", "true", "yes", "on")
 FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -96,6 +95,16 @@ def test_malformed_value_is_a_config_error(key):
 def test_field_names_and_internal_fields_are_not_keys(name):
     with pytest.raises(ConfigError):
         apply_settings(ExperimentConfig(), {name: "1"})
+
+
+def test_recovery_floor_has_no_switch(capsys):
+    # run_sweep fills the bound cell wherever the floor is defined
+    with pytest.raises(ConfigError):
+        apply_settings(ExperimentConfig(), {"bound": "true"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--bound", "true"])
+    assert exc.value.code == 2
+    assert "--bound" in capsys.readouterr().err
 
 
 def test_cli_offers_exactly_one_flag_per_key():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gfdetect import detect
 from gfdetect.detect import (
     build_smv,
-    default_penalty,
     detect_activity,
     extract_support,
     kkt_residual,
@@ -192,7 +191,8 @@ class TestNnLasso:
         rng = derive_rng(10)
         A = complex_normal(rng, (16, 5))
         x = complex_normal(rng, 16)
-        assert default_penalty(A, x, 400) == pytest.approx(default_penalty(A, x, 100) / 2)
+        lam = {n: nn_lasso(A, x, snapshots=n, max_iterations=1).lam for n in (100, 400)}
+        assert lam[400] == pytest.approx(lam[100] / 2)
 
 
 class TestExtractSupport:
@@ -608,8 +608,18 @@ def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
     assert abs(memo.lip - top) <= 1e-10 * top
 
 
+def test_step_constant_is_exact_when_the_power_iteration_is_capped():
+    # top-two ratio 0.99: 200 power steps would leave the estimate ~1e-4 low
+    gram = np.diag([1.0, 0.99])
+    assert detect._spectral_norm_sq(gram) == 1.0
+    assert detect._step_constant(gram) == 1.0
+
+
 def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
-    """The power iteration with its own Rayleigh product: two ``gram @ v`` per step."""
+    """The power iteration with its own Rayleigh product: two ``gram @ v`` per step.
+
+    Past ``iterations`` steps the eigenvalue comes from ``eigvalsh``.
+    """
     K = gram.shape[0]
     v = np.ones(K) / math.sqrt(K)
     value = 0.0
@@ -623,7 +633,7 @@ def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
         if abs(new_value - value) <= rtol * max(new_value, 1.0):
             return new_value
         value = new_value
-    return value
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -738,6 +748,27 @@ class TestLiftMemo:
             assert detect._memo is None
             with pytest.raises(InvalidParameterError):
                 detect_activity(Y, huge, sigma_w2, known_sparsity=3)
+
+    @pytest.mark.parametrize("scale", [1e40, 1e60, 1e76])
+    def test_gram_past_1e154_keeps_its_step_constant(self, scale):
+        # the Gram's entries pass 1e154, so ||gram @ v||^2 would overflow without
+        # the power-of-two scaling and the step constant would read 0; the noise
+        # variance scales too, so the problem is the unscaled one times scale^2
+        Y, S, sigma_w2 = self.block()
+        plain = detect_activity(Y, S, sigma_w2, known_sparsity=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = detect_activity(Y * scale, S * scale, sigma_w2 * scale**2, known_sparsity=3)
+        assert detect._memo.lip > 0
+        assert scaled.support_hat == plain.support_hat
+        assert scaled.iterations == plain.iterations
+
+    def test_step_constant_that_overflows_on_scaling_back_is_rejected(self):
+        # every Gram entry is 1e308, finite, but the largest eigenvalue 4e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError):
+                nn_lasso(np.full((1, 4), 1e154), np.ones(1))
 
     def test_old_lift_is_freed_before_the_next_is_built(self, monkeypatch):
         Y1, S1, sigma_w2 = self.block(seed=6)

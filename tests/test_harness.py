@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import os
 import re
 import subprocess
@@ -304,16 +305,30 @@ class TestRunSweep:
         # seed chosen so the shared dictionary's coherence admits D=2
         cfg = quick_config(
             K=10, L=8, D=2, M=512, snr_db=20.0, lam=0.3, seed=7,
-            redraw_pilots=False, compute_bound=True, trials=3,
+            redraw_pilots=False, trials=3,
         )
         rows = run_sweep(cfg)
         assert rows[0].bound is not None and 0.0 <= rows[0].bound <= 1.0
+
+    def test_fixed_penalty_on_a_shared_code_fills_the_bound(self):
+        # no setting asks for the floor: the cov-lasso cell is filled wherever
+        # it is defined, and stays empty for noiseless points and other detectors
+        cfg = quick_config(
+            K=10, L=8, D=2, M=512, lam=0.3, seed=7, redraw_pilots=False, trials=2,
+            detector="cov-lasso,msbl", sweep_axis="snr", sweep_values=(20.0, math.inf),
+        )
+        rows = run_sweep(cfg)
+        assert [(r.axis, r.detector) for r in rows] == [
+            (20.0, "cov-lasso"), (20.0, "msbl"), (math.inf, "cov-lasso"), (math.inf, "msbl"),
+        ]
+        assert 0.0 <= rows[0].bound <= 1.0
+        assert [r.bound for r in rows[1:]] == [None, None, None]
 
     def test_bound_at_high_snr(self):
         # the noise exponent exp(delta2) is beyond the float range here
         cfg = quick_config(
             K=10, L=8, D=2, M=512, snr_db=50.0, lam=0.3, seed=7,
-            redraw_pilots=False, compute_bound=True, trials=1,
+            redraw_pilots=False, trials=1,
         )
         assert 0.0 <= run_sweep(cfg)[0].bound <= 1.0
 
@@ -321,7 +336,7 @@ class TestRunSweep:
         # coherence too high for D=2: the bound column stays empty
         cfg = quick_config(
             K=10, L=8, D=2, M=512, snr_db=20.0, lam=0.3, seed=0,
-            redraw_pilots=False, compute_bound=True, trials=3,
+            redraw_pilots=False, trials=3,
         )
         assert run_sweep(cfg)[0].bound is None
 
@@ -329,7 +344,7 @@ class TestRunSweep:
         # one pilot column has no coherence, so the floor is undefined
         cfg = quick_config(
             K=1, L=4, D=1, M=16, lam=0.3, seed=1, detector="all",
-            redraw_pilots=False, compute_bound=True, trials=3,
+            redraw_pilots=False, trials=3,
         )
         rows = run_sweep(cfg)
         assert [r.detector for r in rows] == ["cov-lasso", "msbl", "bomp", "mfocuss"]

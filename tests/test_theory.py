@@ -101,8 +101,7 @@ def make_inputs(**overrides):
         M=1024,
         sigma_max_1=1.0,
         sigma_max_2=1.0,
-        sigma_w_max_1=0.1,
-        sigma_w_max_2=0.1,
+        sigma_w=0.1,
         S_infnorm=0.5,
         sigma_min2=1.0,
     )
@@ -112,36 +111,17 @@ def make_inputs(**overrides):
 
 class TestDeltas:
     def test_positive(self):
-        inputs = make_inputs()
-        target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
-        delta1, delta2 = deltas(inputs, 0.5 * target, 0.5 * target)
+        delta1, delta2 = deltas(make_inputs())
         assert delta1 > 0 and delta2 > 0
 
-    def test_monotone_in_first_budget(self):
-        inputs = make_inputs()
-        target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
-        small, _ = deltas(inputs, 0.3 * target, 0.7 * target)
-        large, _ = deltas(inputs, 0.6 * target, 0.4 * target)
-        assert large > small
-
     def test_symmetric_in_sigma_pair(self):
-        inputs_a = make_inputs(sigma_max_1=1.0, sigma_max_2=2.0)
-        inputs_b = make_inputs(sigma_max_1=2.0, sigma_max_2=1.0)
-        target = lasso_constants(inputs_a.lam, inputs_a.mu, inputs_a.D)[0] / inputs_a.L
-        da, _ = deltas(inputs_a, 0.5 * target, 0.5 * target)
-        db, _ = deltas(inputs_b, 0.5 * target, 0.5 * target)
+        da, _ = deltas(make_inputs(sigma_max_1=1.0, sigma_max_2=2.0))
+        db, _ = deltas(make_inputs(sigma_max_1=2.0, sigma_max_2=1.0))
         assert da == pytest.approx(db)
-
-    def test_requires_valid_split(self):
-        inputs = make_inputs()
-        with pytest.raises(ConditionViolatedError):
-            deltas(inputs, 1.0, 1.0)
 
     def test_requires_pairs(self):
         with pytest.raises(ConditionViolatedError):
-            inputs = make_inputs(D=1, mu=0.4)
-            target = lasso_constants(inputs.lam, inputs.mu, inputs.D)[0] / inputs.L
-            deltas(inputs, 0.5 * target, 0.5 * target)
+            deltas(make_inputs(D=1, mu=0.4))
 
 
 class TestRecoveryBound:
@@ -186,8 +166,8 @@ class TestEvaluateRecoveryBound:
         self, lam, mu, D, L, M, extra, sigma_w, S_infnorm, sigma_min2
     ):
         D = min(D, math.ceil(0.5 * (1.0 + 1.0 / mu**2)) - 1)  # coherence hypothesis
-        common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w_max_1=sigma_w, sigma_w_max_2=sigma_w,
-                      S_infnorm=S_infnorm, sigma_min2=sigma_min2)
+        common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w=sigma_w, S_infnorm=S_infnorm,
+                      sigma_min2=sigma_min2)
         fewer = evaluate_recovery_bound(make_inputs(M=M, **common))
         more = evaluate_recovery_bound(make_inputs(M=M + extra, **common))
         assert 0.0 <= fewer <= more <= 1.0
