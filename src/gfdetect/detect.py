@@ -11,10 +11,12 @@ Column ``k`` of the lift is ``kron(conj(s_k), s_k)``, so its real Gram is
 ``|S^H S|^2`` (entrywise), a ``K x K`` matrix formed from the ``L x K`` code
 without reading the ``L^2 x K`` lift, and entry ``k`` of ``A^H x`` is
 ``s_k^H X s_k`` with ``X`` the ``L x L`` matrix that ``x`` vectorizes. The
-Gram and the solver's step constant depend only on the code. The module
-keeps them, with the code and the lift, for the last code it saw: a sweep
-with one shared code builds them once, and every later trial whose code has
-equal values reuses them. The lift handed out is read-only.
+Gram and the solver's step constant depend only on the code, and are formed
+first: a code whose Gram or step constant is not finite is rejected before
+it is lifted. The module keeps them, with the code and the lift, for the
+last code it saw, and every lift it hands out is that memo's, read-only: a
+sweep with one shared code builds them once, and every later trial whose
+code has equal values reuses them.
 """
 
 from __future__ import annotations
@@ -77,37 +79,18 @@ class _LiftMemo:
 _memo: _LiftMemo | None = None
 
 
-def _lift(S: np.ndarray) -> np.ndarray:
-    """Read-only Kronecker lift of ``S``, reused while the code's values stay equal."""
-    global _memo
-    memo = _memo
-    if memo is not None and np.array_equal(memo.code, S):
-        return memo.lift
-    _memo = memo = None  # drop the old lift first, so two are never alive at once
-    A = khatri_rao_dictionary(S)
-    A.flags.writeable = False
-    code = np.array(S, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        C = code.conj().T @ code
-        gram = C.real**2 + C.imag**2
-    # every squared entry of lift column k is at most gram[k, k] = ||s_k||^4, so a
-    # finite Gram means a finite lift; a non-finite one is left for nn_lasso to reject
-    lip = _step_constant(gram)
-    if lip is not None:
-        gram.flags.writeable = False
-        _memo = _LiftMemo(code, A, gram, lip)
-    return A
-
-
 def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorize the covariance into a single-measurement-vector problem.
 
     Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker lift of the
     ``L x K`` pilot code ``S`` and ``x = vec(phi_yy) - sigma_w2 * vec(I)``;
     the noise variance is assumed known, so only its mean is removed.
-    ``A`` is read-only. A call whose code has the same values as the
-    previous call's returns the same ``A`` object, without rebuilding it.
+    A code whose Gram ``|S^H S|^2`` or step constant is not finite is
+    rejected before it is lifted. Every ``A`` returned is read-only and
+    memoized with that Gram and step: a call whose code has the same values
+    as the previous call's returns the same ``A`` object, without rebuilding it.
     """
+    global _memo
     phi = np.asarray(phi_yy)
     S = np.asarray(S)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
@@ -118,10 +101,23 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
         )
     if sigma_w2 < 0:
         raise InvalidParameterError(f"sigma_w2 must be >= 0, got {sigma_w2}")
+    memo = _memo
+    if memo is None or not np.array_equal(memo.code, S):
+        _memo = memo = None  # drop the old lift first, so two are never alive at once
+        code = np.array(S, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # _step_constant rejects an overflow
+            C = code.conj().T @ code
+            gram = C.real**2 + C.imag**2
+        lip = _step_constant(gram)
+        # every squared entry of lift column k is at most gram[k, k] = ||s_k||^4, so a
+        # finite Gram means a finite lift
+        A = khatri_rao_dictionary(S)
+        A.flags.writeable = False
+        gram.flags.writeable = False
+        _memo = memo = _LiftMemo(code, A, gram, lip)
     L = phi.shape[0]
-    A = _lift(S)
     x = phi.ravel(order="F") - sigma_w2 * np.eye(L).ravel()
-    return A, x
+    return memo.lift, x
 
 
 def _adjoint_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -138,14 +134,21 @@ def _penalty_rule(corr: np.ndarray, snapshots: int) -> float:
     return 0.1 * peak * math.sqrt(math.log(max(K, 2)) / snapshots)
 
 
-def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-12) -> float:
-    """Largest eigenvalue of the symmetric PSD Gram matrix via power iteration.
+_POWER_STEPS = 200  # the power iteration's cap, past which eigvalsh takes over
+_POWER_RTOL = 1e-12  # stop once a step moves the estimate by <= this * max(estimate, 1)
 
-    Past ``K * max(diag) > 2**500`` the iteration runs on ``gram`` scaled by an
-    exact power of two, so ``||gram @ v||^2`` cannot overflow; the result is
-    scaled back (``inf`` if that overflows). An iteration that has not
-    converged in ``iterations`` steps, still low, gives way to ``eigvalsh``.
+
+def _step_constant(gram: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric PSD Gram matrix: the solver's step constant.
+
+    Found by power iteration. Past ``K * max(diag) > 2**500`` the iteration
+    runs on ``gram`` scaled by an exact power of two, so ``||gram @ v||^2``
+    cannot overflow; the result is scaled back. An iteration that has not
+    converged in ``_POWER_STEPS`` steps, still low, gives way to ``eigvalsh``.
+    A ``gram`` or step constant that is not finite is rejected.
     """
+    if not np.all(np.isfinite(gram)):
+        raise InvalidParameterError("the LASSO's Gram matrix is not finite")
     K = gram.shape[0]
     top = float(np.max(np.diagonal(gram), initial=0.0))  # a PSD Gram's largest entry
     e = math.frexp(top)[1] if K * top > 2.0**500 else 0
@@ -153,14 +156,14 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
     v = np.ones(K) / math.sqrt(K)
     w = gram @ v
     value = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_STEPS):
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v = w / nw
         w = gram @ v  # the Rayleigh product is also the next step's power product
         new_value = float(v @ w)
-        if abs(new_value - value) <= rtol * max(new_value, 1.0):
+        if abs(new_value - value) <= _POWER_RTOL * max(new_value, 1.0):
             break
         value = new_value
     else:
@@ -168,31 +171,7 @@ def _spectral_norm_sq(gram: np.ndarray, iterations: int = 200, rtol: float = 1e-
     try:
         return math.ldexp(new_value, e)
     except OverflowError:
-        return math.inf
-
-
-def _step_constant(gram: np.ndarray) -> float | None:
-    """Largest eigenvalue of ``gram``, or ``None`` when it or ``gram`` is not finite."""
-    if not np.all(np.isfinite(gram)):
-        return None
-    lip = _spectral_norm_sq(gram)
-    return lip if math.isfinite(lip) else None
-
-
-def _gram_and_lip(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """``Re(A^H A)`` and its largest eigenvalue, the solver's step constant.
-
-    A finite ``A`` whose Gram or step constant overflows is rejected.
-    """
-    # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
-    B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        gram = B.T @ B
-    del B
-    lip = _step_constant(gram)
-    if lip is None:
-        raise InvalidParameterError("the Gram of A, or its largest eigenvalue, overflows")
-    return gram, lip
+        raise InvalidParameterError("the LASSO's step constant is not finite") from None
 
 
 def _lift_correlation(code: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -234,17 +213,17 @@ def nn_lasso(
     :func:`build_smv` last returned, ``G`` is the ``|S^H S|^2`` formed from
     that lift's pilot code, with its largest eigenvalue, and ``A^H x`` is
     formed from the ``L x K`` code too, so no entry of the lift is read; any
-    other ``A``, a copy included, gets its own ``G`` and ``A^H x``. A finite
-    ``A`` whose ``G`` overflows is rejected.
+    other ``A``, a copy included, gets its own ``G`` and ``A^H x``. An ``A``
+    whose ``G`` or step constant is not finite is rejected; :func:`build_smv`
+    rejects such a code before lifting it.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
     memo = _memo if _memo is not None and A is _memo.lift else None
     if A.ndim != 2 or A.shape[0] != x.size or A.shape[1] < 1:
         raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
-    # the memo's lift is finite: its Gram was checked when it was built
-    if (memo is None and not np.all(np.isfinite(A))) or not np.all(np.isfinite(x)):
-        raise InvalidParameterError("A and x must be finite")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError("x must be finite")
     if lam is not None and (lam < 0 or not math.isfinite(lam)):
         raise InvalidParameterError(f"lam must be >= 0, got {lam}")
     if max_iterations < 1:
@@ -253,8 +232,18 @@ def nn_lasso(
         raise InvalidParameterError(f"objective_tolerance must be >= 0, got {objective_tolerance}")
 
     K = A.shape[1]
-    gram, lip = _gram_and_lip(A) if memo is None else (memo.gram, memo.lip)
-    corr = _adjoint_product(A, x) if memo is None else _lift_correlation(memo.code, x)
+    if memo is None:
+        if not np.all(np.isfinite(A)):
+            raise InvalidParameterError("A must be finite")
+        # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
+        B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
+        with np.errstate(over="ignore", invalid="ignore"):  # _step_constant rejects an overflow
+            gram = B.T @ B
+        del B
+        lip = _step_constant(gram)
+        corr = _adjoint_product(A, x)
+    else:  # the memo's lift was checked when build_smv formed its Gram
+        gram, lip, corr = memo.gram, memo.lip, _lift_correlation(memo.code, x)
     b = corr.real
     xnorm2 = float(np.real(np.vdot(x, x)))
     if lam is None:

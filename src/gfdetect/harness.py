@@ -327,8 +327,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         H = draw_channel_gaussian(config.M, support, rng)
     sigma_w2 = noise_variance(config.snr_db)
     active = list(support.indices)
-    # the other columns of H are zero, so only the active ones enter H S^H
-    Y_p = received_pilot(H[:, active], S[:, active], sigma_w2, rng)
+    # the other columns of H are zero, so only the active ones enter H S^H and H X
+    H_active = H[:, active]
+    Y_p = received_pilot(H_active, S[:, active], sigma_w2, rng)
 
     true_symbols = np.zeros((config.K, config.N), dtype=complex)
     codes = None
@@ -341,7 +342,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             codes = complex_normal(rng, (config.K, config.spread_length))
             codes /= np.linalg.norm(codes, axis=1, keepdims=True)
             tx = spread_symbols(symbols, codes[active])
-        Y_d = received_data(H[:, active], tx, sigma_w2, rng)
+        Y_d = received_data(H_active, tx, sigma_w2, rng)
 
     metrics: dict[str, TrialMetrics] = {}
     for name in config.detector_list():

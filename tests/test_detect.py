@@ -598,7 +598,7 @@ def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
     rng = derive_rng(seed, 36)
     S = gen_gaussian_dictionary(L, K, rng) * 10.0 ** rng.uniform(0.0, 2.0, size=K)
     detect._memo = None
-    A = detect._lift(S)
+    A = build_smv(np.zeros((L, L)), S, 0.0)[0]
     memo = detect._memo
     assert memo.lift is A
     norms2 = np.linalg.norm(S, axis=0) ** 2
@@ -611,7 +611,6 @@ def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
 def test_step_constant_is_exact_when_the_power_iteration_is_capped():
     # top-two ratio 0.99: 200 power steps would leave the estimate ~1e-4 low
     gram = np.diag([1.0, 0.99])
-    assert detect._spectral_norm_sq(gram) == 1.0
     assert detect._step_constant(gram) == 1.0
 
 
@@ -638,13 +637,12 @@ def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), K=st.integers(1, 40),
-       iterations=st.integers(1, 200), zero=st.booleans())
-def test_power_iteration_reuses_its_rayleigh_product_bit_for_bit(seed, rows, K, iterations, zero):
+       zero=st.booleans())
+def test_power_iteration_reuses_its_rayleigh_product_bit_for_bit(seed, rows, K, zero):
     rng = derive_rng(seed, 37)
     B = rng.standard_normal((rows, K)) * 10.0 ** rng.uniform(-3.0, 3.0, size=K)
     gram = np.zeros((K, K)) if zero else B.T @ B
-    assert detect._spectral_norm_sq(gram, iterations) == _spectral_norm_sq_two_products(
-        gram, iterations)
+    assert detect._step_constant(gram) == _spectral_norm_sq_two_products(gram)
 
 
 @settings(max_examples=80, deadline=None)
@@ -688,6 +686,26 @@ class TestLiftMemo:
     def block(self, seed=5):
         return pilot_block(seed, 3, 5.0, 40, 14, 6)
 
+    def assert_rejected_before_lift(self, monkeypatch, Y, S, sigma_w2):
+        # build_smv rejects the code from its Gram, so no lift is built and no memo kept
+        lifts = []
+
+        def lift(S):
+            lifts.append(S)
+            return khatri_rao_dictionary(S)
+
+        monkeypatch.setattr(detect, "khatri_rao_dictionary", lift)
+        detect._memo = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                build_smv(sample_covariance(Y), S, sigma_w2)
+            assert detect._memo is None
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                detect_activity(Y, S, sigma_w2, known_sparsity=3)
+        assert detect._memo is None
+        assert lifts == []
+
     def test_in_place_edit_of_the_code_gives_the_fresh_answer(self):
         Y, S, sigma_w2 = self.block()
         assert S.flags.writeable
@@ -718,36 +736,29 @@ class TestLiftMemo:
         with pytest.raises(ValueError):
             detect._memo.gram[0, 0] = 0.0
 
-    def test_non_finite_code_is_still_rejected(self):
+    def test_non_finite_code_is_still_rejected(self, monkeypatch):
         Y, S, sigma_w2 = self.block()
         S[0, 0] = np.nan
-        with pytest.raises(InvalidParameterError):
-            detect_activity(Y, S, sigma_w2)
+        self.assert_rejected_before_lift(monkeypatch, Y, S, sigma_w2)
 
-    def test_finite_code_whose_lift_overflows_is_rejected(self):
+    def test_finite_code_whose_lift_overflows_is_rejected(self, monkeypatch):
         # ||s_k||^4 overflows first, so the Gram check catches every overflowing lift
         Y, S, sigma_w2 = self.block()
         huge = S * 1e160
-        with np.errstate(over="ignore", invalid="ignore"):
-            A, x = build_smv(sample_covariance(Y), huge, sigma_w2)
-            assert np.all(np.isfinite(huge)) and np.all(np.isfinite(x))
-            assert not np.all(np.isfinite(A))
-            assert detect._memo is None
-            with pytest.raises(InvalidParameterError):
-                detect_activity(Y, huge, sigma_w2)
+        assert np.all(np.isfinite(huge))
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(khatri_rao_dictionary(huge)))
+        self.assert_rejected_before_lift(monkeypatch, Y, huge, sigma_w2)
 
-    def test_finite_lift_whose_gram_overflows_is_rejected(self):
-        # ||s_k||^4 overflows but the lift's entries do not: the lift is finite, yet
-        # its Gram is not, so nothing is memoized and nn_lasso's own Gram is checked
+    def test_finite_lift_whose_gram_overflows_is_rejected(self, monkeypatch):
+        # ||s_k||^4 overflows but the lift's entries do not: the lift would be
+        # finite, yet its Gram is not, so the code is rejected all the same
         Y, S, sigma_w2 = self.block()
         huge = S * 1e80
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            A, _ = build_smv(sample_covariance(Y), huge, sigma_w2)
-            assert np.all(np.isfinite(A))
-            assert detect._memo is None
-            with pytest.raises(InvalidParameterError):
-                detect_activity(Y, huge, sigma_w2, known_sparsity=3)
+            assert np.all(np.isfinite(khatri_rao_dictionary(huge)))
+        self.assert_rejected_before_lift(monkeypatch, Y, huge, sigma_w2)
 
     @pytest.mark.parametrize("scale", [1e40, 1e60, 1e76])
     def test_gram_past_1e154_keeps_its_step_constant(self, scale):

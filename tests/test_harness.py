@@ -353,6 +353,29 @@ class TestRunSweep:
         emit_csv(rows, buf)
         assert all(line.endswith(",") for line in buf.getvalue().splitlines()[1:])
 
+    def test_bernoulli_activity_at_its_two_ends(self):
+        # with no node active, MSBL and M-FOCUSS false-alarm on pure noise by design
+        cfg = ExperimentConfig(K=32, L=12, M=64, seed=5, trials=20, detector="all,pai,paci",
+                               activity_prob=0.0, snr_db=10.0)
+        rows = {r.detector: r for r in run_sweep(cfg)}
+        for name in ("cov-lasso", "bomp", "pai", "paci"):
+            assert (rows[name].success_rate, rows[name].ser, rows[name].channel_mse) == (1.0, 0.0, 0.0)
+        rows = run_sweep(dataclasses.replace(cfg, activity_prob=1.0, K=8, snr_db=math.inf))
+        assert [r.detector for r in rows] == ["cov-lasso", "msbl", "bomp", "mfocuss", "pai", "paci"]
+        assert all((r.success_rate, r.ser) == (1.0, 0.0) for r in rows)
+
+    def test_spread_length_one_sends_unspread_symbols(self):
+        # SER reads about 0.9 (cov-lasso) and 0.55 (pai) here, so equal rows are not 0 = 0
+        cfg = ExperimentConfig(K=32, L=12, M=8, D=4, snr_db=-5.0, trials=20, detector="cov-lasso,pai")
+        rows = {
+            spread: [dataclasses.replace(r, runtime_ms=0.0)
+                     for r in run_sweep(dataclasses.replace(cfg, spread_length=spread))]
+            for spread in (0, 1, 2)
+        }
+        assert rows[1] == rows[0]
+        assert rows[2] != rows[0]
+        assert all(r.ser > 0.5 for r in rows[0])
+
     def test_antenna_sweep_changes_m(self):
         cfg = quick_config(sweep_axis="antennas", sweep_values=(16, 32), trials=3)
         rows = run_sweep(cfg)
