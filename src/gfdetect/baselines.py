@@ -1,7 +1,8 @@
 """Reference MMV solvers used for comparison against the covariance detector.
 
 Three classical row-sparse recovery algorithms for the ``L x M``
-multiple-measurement observation ``Y``:
+multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
+``Y_p``:
 
 * ``msbl``    - multiple-measurement sparse Bayesian learning with EM
                 hyperparameter updates (Wipf & Rao style), noise variance
@@ -17,14 +18,15 @@ All three are deterministic given their inputs.
 
 Each solver depends on ``Y`` only through ``Y Y^H``: every iterate it forms
 is ``C Y`` for some matrix ``C``, and it reads those iterates only through
-row norms, residual norms and Frobenius norms of differences. With many
-antennas (``M > L``) the solvers therefore run on an ``L x L`` factor
-``F = R^H`` of the QR decomposition ``Y^H = Q R``. Since ``Y = F Q^H`` and
-``Q`` has orthonormal columns, right-multiplying by ``Q^H`` keeps all those
-norms, so the supports are those of the full observation at an ``L x L``
-instead of ``L x M`` cost per step. Quantities that scale with the snapshot
-count (MSBL's per-snapshot mean power, M-FOCUSS's regularization) still use
-the true ``M``.
+row norms, residual norms and Frobenius norms of differences. So
+:meth:`MmvProblem.from_received_pilot` checks the pilot block once and keeps
+only an ``L x min(L, M)`` factor ``F`` with ``F F^H = Y Y^H``: ``Y`` itself
+for ``M <= L``, and otherwise ``F = R^H`` of the QR decomposition
+``Y_p = Q R``. Since ``Y = F Q^H`` and ``Q`` has orthonormal columns,
+right-multiplying by ``Q^H`` keeps all those norms, so the supports are those
+of the full observation at an ``L x L`` instead of ``L x M`` cost per step.
+Quantities that scale with the snapshot count (MSBL's per-snapshot mean
+power, M-FOCUSS's regularization) still use the true ``M``.
 """
 
 from __future__ import annotations
@@ -59,32 +61,29 @@ _FOCUSS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """Row-sparse recovery instance ``Y = S X + W``: ``Y`` is ``L x M``, ``S`` the ``L x K`` pilot code."""
+    """``Y = S X + W`` held as the factor ``F`` of its ``M`` snapshots (module docstring)."""
 
-    Y: np.ndarray
+    F: np.ndarray
     S: np.ndarray
     sigma_w2: float
-
-    def __post_init__(self) -> None:
-        Y = np.asarray(self.Y, dtype=complex)
-        S = np.asarray(self.S)
-        if S.ndim != 2 or Y.ndim != 2 or Y.shape[0] != S.shape[0]:
-            raise InvalidParameterError(
-                f"observation rows ({Y.shape}) must match the pilot length of {S.shape}"
-            )
-        if self.sigma_w2 < 0:
-            raise InvalidParameterError(f"sigma_w2 must be >= 0, got {self.sigma_w2}")
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "S", S)
+    M: int
 
     @classmethod
     def from_received_pilot(cls, Y_p: np.ndarray, S: np.ndarray, sigma_w2: float) -> "MmvProblem":
-        """Transpose the ``M x L`` antenna-domain observation into MMV form."""
-        return cls(np.asarray(Y_p).conj().T, S, sigma_w2)
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.Y.shape[1]
+        """Check the ``M x L`` pilot block, its ``L x K`` code and noise variance; factor the block."""
+        Y_p = np.asarray(Y_p)
+        S = np.asarray(S)
+        if Y_p.ndim != 2 or Y_p.size == 0:
+            raise InvalidParameterError(f"observation must be a nonempty matrix, got {Y_p.shape}")
+        if S.ndim != 2 or S.shape[0] != Y_p.shape[1]:
+            raise InvalidParameterError(
+                f"pilot rows ({S.shape}) must match the observation's pilot length ({Y_p.shape})"
+            )
+        if not (np.all(np.isfinite(Y_p)) and np.all(np.isfinite(S))):
+            raise InvalidParameterError("observation and pilot code must be finite")
+        if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
+            raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
+        return cls(_snapshot_factor(Y_p), S, sigma_w2, Y_p.shape[0])
 
 
 def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
@@ -107,16 +106,14 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
-    Y = _snapshot_factor(problem.Y)
     L, K = S.shape
-    M = problem.num_snapshots
     sigma2 = max(problem.sigma_w2, 1e-12)
 
     S_H = S.conj().T
     noise = sigma2 * np.eye(L)
     gamma = np.ones(K)
     for _ in range(_MSBL_MAX_ITERS):
-        gamma_new = _msbl_step(gamma, S, S_H, noise, Y, M)
+        gamma_new = _msbl_step(gamma, S, S_H, noise, problem.F, problem.M)
         gamma_new[gamma_new < _GAMMA_FLOOR] = 0.0
         peak = gamma_new.max()
         change = np.max(np.abs(gamma_new - gamma))
@@ -136,7 +133,7 @@ def _msbl_step(
     quad = np.sum(S_H.T * GS, axis=0).real  # Re(s_k^H GS_k)
     # F has min(L, M) columns; the mean is over all M snapshots
     P = GS.conj().T @ F
-    mean_power = gamma * gamma * np.sum(P.real**2 + P.imag**2, axis=1) / max(M, 1)
+    mean_power = gamma * gamma * np.sum(P.real**2 + P.imag**2, axis=1) / M
     return mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
 
 
@@ -154,13 +151,13 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     search stops there and returns fewer than ``D`` nodes.
     """
     S = problem.S
-    Y = _snapshot_factor(problem.Y)
-    L, K = S.shape
+    F = problem.F
+    K = S.shape[1]
     if not 0 <= D <= K:
         raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
 
-    residual = Y
-    floor = _ZERO_RESIDUAL * np.linalg.norm(Y)
+    residual = F
+    floor = _ZERO_RESIDUAL * np.linalg.norm(F)
     selected: list[int] = []
     for _ in range(D):
         if np.linalg.norm(residual) <= floor:
@@ -171,8 +168,8 @@ def bomp(problem: MmvProblem, D: int) -> Support:
         k = int(np.argmax(scores))
         selected.append(k)
         S_sel = S[:, selected]
-        coeff, *_ = np.linalg.lstsq(S_sel, Y, rcond=None)
-        residual = Y - S_sel @ coeff
+        coeff, *_ = np.linalg.lstsq(S_sel, F, rcond=None)
+        residual = F - S_sel @ coeff
     return Support(tuple(sorted(selected)), K)
 
 
@@ -190,13 +187,13 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
-    Y = _snapshot_factor(problem.Y)
+    F = problem.F
     L = S.shape[0]
-    lam = problem.sigma_w2 * math.sqrt(max(problem.num_snapshots, 1))
+    lam = problem.sigma_w2 * math.sqrt(problem.M)
 
     eye = np.eye(L)
     # min-norm least squares start
-    X = S.conj().T @ _solve_regularized(S @ S.conj().T, lam, Y, eye)
+    X = S.conj().T @ _solve_regularized(S @ S.conj().T, lam, F, eye)
     for _ in range(_FOCUSS_MAX_ITERS):
         row_norms = np.linalg.norm(X, axis=1)
         peak = row_norms.max()
@@ -204,7 +201,7 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
             break
         weights = row_norms ** (1.0 - _FOCUSS_P / 2.0)
         B = S * weights[None, :]
-        Z = _solve_regularized(B @ B.conj().T, lam, Y, eye)
+        Z = _solve_regularized(B @ B.conj().T, lam, F, eye)
         X_new = weights[:, None] * (B.conj().T @ Z)
         change = np.linalg.norm(X_new - X)
         X = X_new
@@ -214,12 +211,12 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     return extract_support(final_norms, D_known, _FOCUSS_PRUNE_TOLERANCE)
 
 
-def _snapshot_factor(Y: np.ndarray) -> np.ndarray:
-    """Return ``F`` with ``F F^H = Y Y^H`` and ``min(L, M)`` columns (module docstring)."""
-    L, M = Y.shape
+def _snapshot_factor(Y_p: np.ndarray) -> np.ndarray:
+    """Return ``F`` with ``F F^H = Y_p^H Y_p`` and ``min(L, M)`` columns (module docstring)."""
+    M, L = Y_p.shape
     if M <= L:
-        return Y
-    return np.linalg.qr(Y.conj().T, mode="r").conj().T
+        return Y_p.conj().T
+    return np.linalg.qr(Y_p, mode="r").conj().T
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:

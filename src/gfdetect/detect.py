@@ -99,8 +99,8 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
         raise InvalidParameterError(
             f"pilot rows ({S.shape}) must match covariance size ({phi.shape})"
         )
-    if sigma_w2 < 0:
-        raise InvalidParameterError(f"sigma_w2 must be >= 0, got {sigma_w2}")
+    if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
     memo = _memo
     if memo is None or not np.array_equal(memo.code, S):
         _memo = memo = None  # drop the old lift first, so two are never alive at once
@@ -342,7 +342,7 @@ def extract_support(
     r = np.asarray(r_hat, dtype=float)
     if r.ndim != 1:
         raise InvalidParameterError(f"r_hat must be a vector, got shape {r.shape}")
-    if np.any(r < 0):
+    if not np.all(r >= 0):  # also rejects NaN
         raise InvalidParameterError("r_hat must be elementwise nonnegative")
     if known_sparsity is not None and known_sparsity < 0:
         raise InvalidParameterError("known_sparsity must be >= 0")

@@ -46,8 +46,8 @@ def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np
     The variance is split evenly between the real and imaginary parts, so
     ``E[|z|^2] == variance``.
     """
-    if variance < 0:
-        raise InvalidParameterError(f"variance must be nonnegative, got {variance}")
+    if not 0 <= variance < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"variance must be finite and nonnegative, got {variance}")
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -170,8 +170,8 @@ def draw_channel_gaussian(
         raise InvalidParameterError(f"M must be >= 1, got {M}")
     var = np.broadcast_to(np.asarray(1.0 if variances is None else variances, dtype=float),
                           (support.size,)).copy()
-    if np.any(var <= 0):
-        raise InvalidParameterError("active-node variances must be positive")
+    if not np.all((var > 0) & (var < math.inf)):  # also rejects NaN
+        raise InvalidParameterError("active-node variances must be positive and finite")
     H = np.zeros((M, support.K), dtype=complex)
     if support.size:
         block = complex_normal(rng, (M, support.size)) * np.sqrt(var)[None, :]

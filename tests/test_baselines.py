@@ -59,7 +59,7 @@ class TestMsbl:
 
     def test_zero_observation_empty_support(self):
         S = gen_gaussian_dictionary(20, 64, derive_rng(1, 23))
-        problem = MmvProblem(np.zeros((20, 16), complex), S, 1e-6)
+        problem = MmvProblem.from_received_pilot(np.zeros((16, 20), complex), S, 1e-6)
         assert msbl(problem).indices == ()
 
     def test_known_sparsity_selection(self):
@@ -101,7 +101,7 @@ class TestBomp:
 class TestMfocuss:
     def test_zero_observation_empty(self):
         S = gen_gaussian_dictionary(20, 64, derive_rng(6, 23))
-        problem = MmvProblem(np.zeros((20, 16), complex), S, 0.5)
+        problem = MmvProblem.from_received_pilot(np.zeros((16, 20), complex), S, 0.5)
         assert mfocuss(problem).indices == ()
 
     def test_noiseless_single_node_exact(self):
@@ -151,9 +151,32 @@ class TestSharedBehavior:
     def test_dimension_validation(self):
         S = gen_gaussian_dictionary(20, 64, derive_rng(12, 23))
         with pytest.raises(InvalidParameterError):
-            MmvProblem(np.zeros((19, 4), complex), S, 0.1)
+            MmvProblem.from_received_pilot(np.zeros((4, 19), complex), S, 0.1)
         with pytest.raises(InvalidParameterError):
-            MmvProblem(np.zeros((20, 4), complex), S, -0.1)
+            MmvProblem.from_received_pilot(np.zeros((4, 20), complex), S, -0.1)
+
+    @pytest.mark.parametrize("case", ["nan-variance", "inf-variance", "nan-block", "nan-code",
+                                      "empty-block"])
+    def test_rejects_what_detect_activity_rejects(self, case, capfd):
+        # past this check the solvers would return a support for each of these,
+        # or raise from LAPACK with a message on stderr
+        rng = derive_rng(13, 23)
+        S = gen_gaussian_dictionary(8, 16, rng)
+        Y_p = complex_normal(rng, (32, 8))
+        sigma_w2 = 0.1
+        if case == "nan-variance":
+            sigma_w2 = float("nan")
+        elif case == "inf-variance":
+            sigma_w2 = float("inf")
+        elif case == "nan-block":
+            Y_p[3, 5] = np.nan
+        elif case == "nan-code":
+            S[2, 7] = np.nan
+        else:
+            Y_p = Y_p[:0]
+        with pytest.raises(InvalidParameterError):
+            MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
+        assert capfd.readouterr().err == ""
 
 
 # (seed, D, snr_db, M, K, L) -> supports of msbl(P), bomp(P, D), mfocuss(P),
@@ -249,11 +272,11 @@ def test_pinned_msbl_supports_all_snr_geometry(case, msbl_sup):
 @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(0, 40))
 def test_snapshot_factor_keeps_the_gram(seed, L, M):
     rng = derive_rng(seed, 25)
-    Y = rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M))
-    Y *= rng.choice([1e-6, 1.0, 1e6])
-    F = _snapshot_factor(Y)
+    Y_p = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+    Y_p *= rng.choice([1e-6, 1.0, 1e6])
+    F = _snapshot_factor(Y_p)
     assert F.shape == (L, min(L, M))
-    gram = Y @ Y.conj().T
+    gram = Y_p.conj().T @ Y_p
     assert np.linalg.norm(F @ F.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
@@ -267,17 +290,17 @@ def test_snapshot_factor_keeps_the_gram(seed, L, M):
     snr_db=st.one_of(st.none(), st.floats(-5.0, 30.0)),
 )
 def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, data, snr_db):
-    # a solver that reads Y only through Y Y^H cannot tell Y from Y U
+    # a solver that reads Y = Y_p^H only through Y Y^H cannot tell Y from Y U = (U^H Y_p)^H
     K = L + extra_K
     D = data.draw(st.integers(0, K), label="D")
     rng = derive_rng(seed, 26)
     S = gen_gaussian_dictionary(L, K, rng)
     H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
     sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
-    Y = received_pilot(H, S, sigma_w2, rng).conj().T
+    Y_p = received_pilot(H, S, sigma_w2, rng)
     U, _ = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
-    mixed = MmvProblem(Y @ U, S, sigma_w2)
-    problem = MmvProblem(Y, S, sigma_w2)
+    mixed = MmvProblem.from_received_pilot(U.conj().T @ Y_p, S, sigma_w2)
+    problem = MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
     assert msbl(mixed) == msbl(problem)
     assert bomp(mixed, D) == bomp(problem, D)
     assert mfocuss(mixed) == mfocuss(problem)
@@ -285,14 +308,15 @@ def test_supports_invariant_to_a_unitary_mix_of_snapshots(seed, L, extra_K, M, d
 
 def test_bomp_stops_at_a_zero_residual():
     # noiseless D > L: after L picks the refit is exact, and a further pick
-    # would follow the rounding of Y (at this seed Y and jY picked differently)
+    # would follow the rounding of Y (at this seed Y and jY picked differently);
+    # the block of jY = j Y_p^H is exactly -j Y_p
     rng = derive_rng(7, 27)
     S = gen_gaussian_dictionary(2, 4, rng)
     H = draw_channel_gaussian(1, draw_support(4, rng, size=3), rng)
-    Y = received_pilot(H, S, 0.0, rng).conj().T
-    support = bomp(MmvProblem(Y, S, 0.0), 3)
+    Y_p = received_pilot(H, S, 0.0, rng)
+    support = bomp(MmvProblem.from_received_pilot(Y_p, S, 0.0), 3)
     assert support.size <= 2
-    assert bomp(MmvProblem(1j * Y, S, 0.0), 3) == support
+    assert bomp(MmvProblem.from_received_pilot(-1j * Y_p, S, 0.0), 3) == support
 
 
 def test_singular_inner_system_raises_the_regularization():
@@ -333,7 +357,7 @@ def test_msbl_step_matches_the_solve_form(seed, L, extra_K, M, snr_db):
     K = L + extra_K
     rng = derive_rng(seed, 28)
     S = gen_gaussian_dictionary(L, K, rng)
-    F = _snapshot_factor(rng.standard_normal((L, M)) + 1j * rng.standard_normal((L, M)))
+    F = _snapshot_factor(rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
     gamma = rng.uniform(0.0, 2.0, K)
     gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
     sigma2 = noise_variance(snr_db)

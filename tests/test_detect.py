@@ -219,6 +219,13 @@ class TestExtractSupport:
         with pytest.raises(InvalidParameterError):
             extract_support(np.array([-1.0, 2.0]))
 
+    @pytest.mark.parametrize("r, known_sparsity", [([np.nan, 1.0], 1), ([1.0, np.nan, 0.5], None)],
+                             ids=["top-D", "threshold"])
+    def test_rejects_nan(self, r, known_sparsity):
+        # a NaN would lose the top-D pick and empty the threshold support
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            extract_support(np.array(r), known_sparsity=known_sparsity)
+
     @pytest.mark.parametrize("kwargs", [dict(threshold_ratio=0.0), dict(threshold_ratio=1.0),
                                         dict(known_sparsity=-1)])
     def test_rejects_out_of_range_rule(self, kwargs):
@@ -740,6 +747,22 @@ class TestLiftMemo:
         Y, S, sigma_w2 = self.block()
         S[0, 0] = np.nan
         self.assert_rejected_before_lift(monkeypatch, Y, S, sigma_w2)
+
+    @pytest.mark.parametrize("sigma_w2", [float("nan"), float("inf")])
+    def test_non_finite_noise_variance_is_rejected_before_the_code_is_read(
+        self, monkeypatch, sigma_w2
+    ):
+        Y, S, _ = self.block()
+        build_smv(sample_covariance(Y), S[:, ::-1], 0.1)  # a memo for some other code
+        memo = detect._memo
+        lifts = []
+        monkeypatch.setattr(detect, "khatri_rao_dictionary", lifts.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="sigma_w2"):
+                build_smv(sample_covariance(Y), S, sigma_w2)
+        assert detect._memo is memo
+        assert lifts == []
 
     def test_finite_code_whose_lift_overflows_is_rejected(self, monkeypatch):
         # ||s_k||^4 overflows first, so the Gram check catches every overflowing lift

@@ -150,9 +150,10 @@ class TestGaussianChannel:
         assert abs(np.mean(np.abs(H[:, 0]) ** 2) - 0.5) < 0.02
         assert abs(np.mean(np.abs(H[:, 2]) ** 2) - 2.0) < 0.08
 
-    def test_rejects_nonpositive_variance(self):
+    @pytest.mark.parametrize("variance", [0.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_variance(self, variance):
         with pytest.raises(InvalidParameterError):
-            draw_channel_gaussian(8, Support((0,), 1), derive_rng(0), variances=0.0)
+            draw_channel_gaussian(8, Support((0,), 1), derive_rng(0), variances=variance)
 
 
 class TestReceivedSignals:
@@ -250,6 +251,8 @@ class TestNoiseVariance:
     def test_observation_rejects_bad_variance(self, sigma_w2):
         with pytest.raises(InvalidParameterError):
             received_pilot(np.ones((3, 2)), np.ones((4, 2)), sigma_w2, derive_rng(0))
+        with pytest.raises(InvalidParameterError):  # the noise draw checks it too
+            complex_normal(derive_rng(0), (3, 2), sigma_w2)
 
     def test_zero_variance_is_exact_and_draws_nothing(self):
         rng = derive_rng(15)
