@@ -6,8 +6,10 @@ multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
 
 * ``msbl``    - multiple-measurement sparse Bayesian learning with EM
                 hyperparameter updates (Wipf & Rao style), noise variance
-                frozen at its true value. Each EM step inverts the ``L x L``
-                ``Sigma_y`` once and does the rest with matrix products.
+                frozen at its true value. It reads the block only through
+                the sample covariance ``R_hat = Y Y^H / M``, and each EM step
+                is a diagonally scaled gradient step on the covariance
+                likelihood ``log det Sigma_y + tr(Sigma_y^-1 R_hat)``.
 * ``bomp``    - block orthogonal matching pursuit on the Kronecker-lifted
                 single-vector model, evaluated in its mathematically
                 equivalent unlifted form (simultaneous OMP).
@@ -16,17 +18,18 @@ multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
 
 All three are deterministic given their inputs.
 
-Each solver depends on ``Y`` only through ``Y Y^H``: every iterate it forms
-is ``C Y`` for some matrix ``C``, and it reads those iterates only through
-row norms, residual norms and Frobenius norms of differences. So
+Each solver depends on ``Y`` only through ``Y Y^H``. MSBL reads ``R_hat``
+itself; every iterate the other two form is ``C Y`` for some matrix ``C``,
+and they read those iterates only through row norms, residual norms and
+Frobenius norms of differences. So
 :meth:`MmvProblem.from_received_pilot` checks the pilot block once and keeps
 only an ``L x min(L, M)`` factor ``F`` with ``F F^H = Y Y^H``: ``Y`` itself
 for ``M <= L``, and otherwise ``F = R^H`` of the QR decomposition
 ``Y_p = Q R``. Since ``Y = F Q^H`` and ``Q`` has orthonormal columns,
 right-multiplying by ``Q^H`` keeps all those norms, so the supports are those
 of the full observation at an ``L x L`` instead of ``L x M`` cost per step.
-Quantities that scale with the snapshot count (MSBL's per-snapshot mean
-power, M-FOCUSS's regularization) still use the true ``M``.
+Quantities that scale with the snapshot count (MSBL's sample covariance,
+M-FOCUSS's regularization) still use the true ``M``.
 """
 
 from __future__ import annotations
@@ -94,11 +97,14 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     update ``gamma_k = mean_m |mu_km|^2 + Sigma_kk``. The noise variance is
     held fixed at the problem's true value.
 
-    Each step forms ``G = inv(Sigma_y)`` of ``Sigma_y = sigma^2 I + S Gamma S^H``
-    and ``GS = G S``. Then ``Sigma_kk = max(gamma_k - gamma_k^2 Re(s_k^H GS_k), 0)``,
-    and, because ``G`` is Hermitian, ``S^H Sigma_y^-1 F = GS^H F``, so the mean
-    power is ``gamma_k^2 ||(GS^H F)_k||^2 / M`` on the snapshot factor ``F``
-    (module docstring). An exactly singular ``Sigma_y`` raises ``LinAlgError``.
+    MSBL reads the observation only through the sample covariance
+    ``R_hat = F F^H / M`` of the snapshot factor ``F`` (module docstring). With
+    ``G = inv(Sigma_y)`` of ``Sigma_y = sigma^2 I + S Gamma S^H``, the two terms
+    of the update sum to ``gamma_k + gamma_k^2 Re(s_k^H E s_k)`` with
+    ``E = G (R_hat - Sigma_y) G``, and ``-Re(s_k^H E s_k)`` is the derivative in
+    ``gamma_k`` of the covariance likelihood ``log det Sigma_y + tr(G R_hat)``.
+    So each step is ``gamma += gamma^2 * Re diag(S^H E S)``: one inverse and
+    no ``K x L`` block. An exactly singular ``Sigma_y`` raises ``LinAlgError``.
 
     Iteration stops after 500 EM steps or once the relative hyperparameter
     change falls below 1e-6. The support is the ``D_known`` largest
@@ -109,11 +115,13 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     L, K = S.shape
     sigma2 = max(problem.sigma_w2, 1e-12)
 
-    S_H = S.conj().T
+    # F has min(L, M) columns; the covariance is over all M snapshots
+    R_hat = problem.F @ problem.F.conj().T / problem.M
+    S_conj = S.conj()
     noise = sigma2 * np.eye(L)
     gamma = np.ones(K)
     for _ in range(_MSBL_MAX_ITERS):
-        gamma_new = _msbl_step(gamma, S, S_H, noise, problem.F, problem.M)
+        gamma_new = _msbl_step(gamma, S, S_conj, noise, R_hat)
         gamma_new[gamma_new < _GAMMA_FLOOR] = 0.0
         peak = gamma_new.max()
         change = np.max(np.abs(gamma_new - gamma))
@@ -124,17 +132,13 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
 
 
 def _msbl_step(
-    gamma: np.ndarray, S: np.ndarray, S_H: np.ndarray, noise: np.ndarray, F: np.ndarray, M: int
+    gamma: np.ndarray, S: np.ndarray, S_conj: np.ndarray, noise: np.ndarray, R_hat: np.ndarray
 ) -> np.ndarray:
     """One EM update of MSBL's hyperparameters, before the floor (see :func:`msbl`)."""
-    # G = Sigma_y^-1 is Hermitian, so S^H Sigma_y^-1 F = (G S)^H F
-    G = np.linalg.inv(noise + (S * gamma[None, :]) @ S_H)
-    GS = G @ S
-    quad = np.sum(S_H.T * GS, axis=0).real  # Re(s_k^H GS_k)
-    # F has min(L, M) columns; the mean is over all M snapshots
-    P = GS.conj().T @ F
-    mean_power = gamma * gamma * np.sum(P.real**2 + P.imag**2, axis=1) / M
-    return mean_power + np.maximum(gamma - gamma * gamma * quad, 0.0)
+    sigma_y = noise + (S * gamma[None, :]) @ S_conj.T
+    G = np.linalg.inv(sigma_y)
+    E = G @ (R_hat - sigma_y) @ G  # -dl/dgamma_k = Re(s_k^H E s_k)
+    return gamma + gamma * gamma * np.sum((S_conj * (E @ S)).real, axis=0)
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:
@@ -156,13 +160,14 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     if not 0 <= D <= K:
         raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
 
+    S_H = S.conj().T
     residual = F
     floor = _ZERO_RESIDUAL * np.linalg.norm(F)
     selected: list[int] = []
     for _ in range(D):
         if np.linalg.norm(residual) <= floor:
             break
-        scores = np.linalg.norm(S.conj().T @ residual, axis=1)
+        scores = np.linalg.norm(S_H @ residual, axis=1)
         if selected:
             scores[selected] = -1.0
         k = int(np.argmax(scores))
@@ -192,8 +197,9 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     lam = problem.sigma_w2 * math.sqrt(problem.M)
 
     eye = np.eye(L)
+    S_H = S.conj().T
     # min-norm least squares start
-    X = S.conj().T @ _solve_regularized(S @ S.conj().T, lam, F, eye)
+    X = S_H @ _solve_regularized(S @ S_H, lam, F, eye)
     for _ in range(_FOCUSS_MAX_ITERS):
         row_norms = np.linalg.norm(X, axis=1)
         peak = row_norms.max()
@@ -201,8 +207,9 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
             break
         weights = row_norms ** (1.0 - _FOCUSS_P / 2.0)
         B = S * weights[None, :]
-        Z = _solve_regularized(B @ B.conj().T, lam, F, eye)
-        X_new = weights[:, None] * (B.conj().T @ Z)
+        B_H = B.conj().T
+        Z = _solve_regularized(B @ B_H, lam, F, eye)
+        X_new = weights[:, None] * (B_H @ Z)
         change = np.linalg.norm(X_new - X)
         X = X_new
         if change <= _FOCUSS_TOL * max(np.linalg.norm(X), 1e-30):

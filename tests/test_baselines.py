@@ -269,6 +269,38 @@ def test_pinned_msbl_supports_all_snr_geometry(case, msbl_sup):
     assert msbl(problem).indices == msbl_sup
 
 
+# (seed, D, snr_db, M) -> msbl support at the fig3 geometry (K=64, L=20), where
+# sigma^2 is small and the rounding of the EM step matters most; captured with
+# the posterior-moment form of the step (commit 0df11af)
+PINNED_HIGH_SNR_MSBL = [
+    ((200, 3, 40.0, 8), (10, 14, 48)),
+    ((201, 3, 40.0, 8), (8, 13, 32)),
+    ((200, 3, 40.0, 128), (10, 14, 48)),
+    ((201, 3, 40.0, 128), (8, 13, 32)),
+    ((200, 10, 40.0, 8), (13, 33, 38, 47, 58, 61)),
+    ((201, 10, 40.0, 8), (2, 11, 18, 28, 32, 58, 59, 60)),
+    ((200, 10, 40.0, 128), (9, 13, 33, 34, 38, 42, 47, 49, 58, 61)),
+    ((201, 10, 40.0, 128), (2, 7, 9, 11, 18, 28, 32, 58, 59, 60)),
+    ((200, 3, 60.0, 8), (10, 14, 48)),
+    ((201, 3, 60.0, 8), (8, 13, 32)),
+    ((200, 3, 60.0, 128), (10, 14, 48)),
+    ((201, 3, 60.0, 128), (8, 13, 32)),
+    ((200, 10, 60.0, 8), (13, 33, 38, 47, 58, 61)),
+    ((201, 10, 60.0, 8), (2, 11, 18, 28, 32, 58, 59, 60)),
+    ((200, 10, 60.0, 128), (9, 13, 33, 34, 38, 42, 47, 49, 58, 61)),
+    ((201, 10, 60.0, 128), (2, 7, 9, 11, 18, 28, 32, 58, 59, 60)),
+]
+
+
+@pytest.mark.parametrize("case, msbl_sup", PINNED_HIGH_SNR_MSBL,
+                         ids=[f"seed{s}-D{D}-snr{snr:g}-M{M}"
+                              for (s, D, snr, M), _ in PINNED_HIGH_SNR_MSBL])
+def test_pinned_msbl_supports_high_snr(case, msbl_sup):
+    seed, D, snr_db, M = case
+    problem, _ = make_problem(seed, D, snr_db, M=M)
+    assert msbl(problem).indices == msbl_sup
+
+
 @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(0, 40))
 def test_snapshot_factor_keeps_the_gram(seed, L, M):
     rng = derive_rng(seed, 25)
@@ -361,6 +393,44 @@ def test_msbl_step_matches_the_solve_form(seed, L, extra_K, M, snr_db):
     gamma = rng.uniform(0.0, 2.0, K)
     gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
     sigma2 = noise_variance(snr_db)
-    new = _msbl_step(gamma, S, S.conj().T, sigma2 * np.eye(L), F, M)
+    new = _msbl_step(gamma, S, S.conj(), sigma2 * np.eye(L), F @ F.conj().T / M)
     old = _msbl_step_by_solve(gamma, S, F, M, sigma2)
     assert np.linalg.norm(new - old) <= 1e-9 * np.linalg.norm(old)
+
+
+def _covariance_likelihood(gamma, S, R_hat, sigma2):
+    """``l(gamma) = log det Sigma_y + tr(Sigma_y^-1 R_hat)``."""
+    sigma_y = sigma2 * np.eye(S.shape[0]) + (S * gamma[None, :]) @ S.conj().T
+    return np.linalg.slogdet(sigma_y)[1] + np.trace(np.linalg.solve(sigma_y, R_hat)).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 12),
+    extra_K=st.integers(0, 40),
+    M=st.integers(1, 40),
+    snr_db=st.floats(-10.0, 30.0),
+)
+def test_msbl_step_is_a_scaled_likelihood_gradient_step(seed, L, extra_K, M, snr_db):
+    # the step is gamma + gamma^2 Re(s_k^H E s_k), with Re(s_k^H E s_k) = -dl/dgamma_k;
+    # called at gamma = 1 with the rest of Sigma_y as its noise term, it returns
+    # 1 + Re(s_k^H E s_k) for every row, the pruned ones included
+    K = L + extra_K
+    rng = derive_rng(seed, 29)
+    S = gen_gaussian_dictionary(L, K, rng)
+    F = _snapshot_factor(rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+    R_hat = F @ F.conj().T / M
+    gamma = rng.uniform(0.0, 2.0, K)
+    gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
+    sigma2 = noise_variance(snr_db)
+    h = 1e-6
+    grad = np.empty(K)
+    for k in range(K):
+        dk = np.zeros(K)
+        dk[k] = h
+        grad[k] = (_covariance_likelihood(gamma + dk, S, R_hat, sigma2)
+                   - _covariance_likelihood(gamma - dk, S, R_hat, sigma2)) / (2 * h)
+    rest = sigma2 * np.eye(L) + (S * (gamma - 1.0)[None, :]) @ S.conj().T
+    descent = _msbl_step(np.ones(K), S, S.conj(), rest, R_hat) - 1.0
+    assert np.linalg.norm(descent + grad) <= 1e-5 * np.linalg.norm(grad)
