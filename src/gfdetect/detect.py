@@ -50,7 +50,6 @@ class DetectionResult:
     iterations: int
     converged: bool
     lam: float
-    objective_history: np.ndarray
 
 
 def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
@@ -130,7 +129,7 @@ def _penalty_rule(corr: np.ndarray, snapshots: int) -> float:
     if snapshots < 1:
         raise InvalidParameterError(f"snapshots must be >= 1, got {snapshots}")
     K = corr.size
-    peak = float(np.max(np.abs(corr))) if K else 0.0
+    peak = float(np.max(np.abs(corr)))
     return 0.1 * peak * math.sqrt(math.log(max(K, 2)) / snapshots)
 
 
@@ -214,8 +213,10 @@ def nn_lasso(
     that lift's pilot code, with its largest eigenvalue, and ``A^H x`` is
     formed from the ``L x K`` code too, so no entry of the lift is read; any
     other ``A``, a copy included, gets its own ``G`` and ``A^H x``. An ``A``
-    whose ``G`` or step constant is not finite is rejected; :func:`build_smv`
-    rejects such a code before lifting it.
+    whose ``G`` or step constant is not finite is rejected, and so is any
+    ``A`` with a non-finite entry, since it makes its column's diagonal entry
+    of ``G`` non-finite; :func:`build_smv` rejects such a code before lifting
+    it. The result holds the final iterate, not the objective's path.
     """
     A = np.asarray(A)
     x = np.asarray(x).ravel()
@@ -233,8 +234,6 @@ def nn_lasso(
 
     K = A.shape[1]
     if memo is None:
-        if not np.all(np.isfinite(A)):
-            raise InvalidParameterError("A must be finite")
         # Re(A^H A) = B^T B: one symmetric real product instead of a complex one
         B = np.concatenate([A.real, A.imag]) if np.iscomplexobj(A) else A
         with np.errstate(over="ignore", invalid="ignore"):  # _step_constant rejects an overflow
@@ -261,7 +260,6 @@ def nn_lasso(
     obj = objective(cur)
     ahead = cur
     t = 1.0
-    history = [obj]
     converged = False
     iterations = 0
     plain_step = True  # ahead currently equals cur (no momentum in flight)
@@ -282,7 +280,6 @@ def nn_lasso(
             cur = new
             t = t_next
             plain_step = False
-            history.append(obj_new)
             decrease = obj - obj_new
             obj = obj_new
             # strict: a zero tolerance disables the plateau stop entirely
@@ -297,7 +294,6 @@ def nn_lasso(
             ahead = cur
             t = 1.0
             plain_step = True
-            history.append(obj)
 
     r = cur[0]
     return DetectionResult(
@@ -306,7 +302,6 @@ def nn_lasso(
         iterations=iterations,
         converged=converged,
         lam=float(lam),
-        objective_history=np.asarray(history),
     )
 
 

@@ -260,9 +260,7 @@ def _run_detector(
         return msbl(problem)
     if name == "bomp":
         return bomp(problem, D_true)
-    if name == "mfocuss":
-        return mfocuss(problem)
-    raise ConfigError(f"unknown detector {name!r}")
+    return mfocuss(problem)
 
 
 def _score(
@@ -373,20 +371,18 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
 def _point_bound(pc: ExperimentConfig) -> float | None:
     """Theoretical success floor for this point, when it is well defined.
 
-    Needs a fixed penalty, a shared pilot dictionary of at least two
-    columns, the Gaussian channel with unit variances, a fixed activity
-    level ``D >= 1``, nonzero noise, and a coherence that admits ``D``.
+    Needs a fixed penalty, a shared pilot dictionary, the Gaussian channel
+    with unit variances and a fixed activity level. The rest of the floor's
+    domain (at least two pilot columns, ``D >= 1``, nonzero noise and a
+    coherence that admits ``D``) is checked by ``mutual_coherence`` and
+    :class:`theory.BoundInputs`; a point outside it gets ``None``.
     """
     if (
         pc.lam is None
         or pc.redraw_pilots
         or pc.channel != "gaussian"
         or pc.activity_prob is not None
-        or pc.D < 1
     ):
-        return None
-    sigma_w2 = noise_variance(pc.snr_db)
-    if sigma_w2 <= 0:
         return None
     S = _shared_pilots(pc)
     try:
@@ -396,9 +392,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
             D=pc.D,
             L=pc.L,
             M=pc.M,
-            sigma_max_1=1.0,
-            sigma_max_2=1.0,
-            sigma_w=math.sqrt(sigma_w2),
+            sigma_w=math.sqrt(noise_variance(pc.snr_db)),
             S_infnorm=float(np.max(np.abs(S))),
             sigma_min2=1.0,
         )

@@ -36,10 +36,11 @@ _SPLIT = 0.5  # share of the c1/L budget given to the channel cross terms (C1)
 class BoundInputs:
     """Everything the bound evaluation needs about one configuration.
 
-    ``sigma_max_1/2`` are the two largest active-channel standard deviations,
-    ``sigma_w`` the white-noise standard deviation, ``S_infnorm`` the largest
-    pilot-entry magnitude, and ``sigma_min2`` the smallest active-channel
-    variance; ``D`` may not exceed ``max_identifiable_support(mu)``.
+    Active channels have unit power, so the channel cross terms need no
+    variance of their own. ``sigma_w`` is the white-noise standard deviation,
+    ``S_infnorm`` the largest pilot-entry magnitude, and ``sigma_min2`` the
+    smallest active-channel variance; ``D`` may not exceed
+    ``max_identifiable_support(mu)``.
     """
 
     lam: float
@@ -47,8 +48,6 @@ class BoundInputs:
     D: int
     L: int
     M: int
-    sigma_max_1: float
-    sigma_max_2: float
     sigma_w: float
     S_infnorm: float
     sigma_min2: float
@@ -57,8 +56,6 @@ class BoundInputs:
         positives = {
             "lam": self.lam,
             "mu": self.mu,
-            "sigma_max_1": self.sigma_max_1,
-            "sigma_max_2": self.sigma_max_2,
             "sigma_w": self.sigma_w,
             "S_infnorm": self.S_infnorm,
             "sigma_min2": self.sigma_min2,
@@ -136,9 +133,8 @@ def deltas(inputs: BoundInputs) -> tuple[float, float]:
     C2 = (1.0 - _SPLIT) * target
     t1 = C1 * inputs.M / (inputs.S_infnorm**2 * inputs.D * (inputs.D - 1))
     t2 = C2 * inputs.M / (inputs.L * (inputs.L - 1))
-    pair1 = inputs.sigma_max_1 * inputs.sigma_max_2
     pair2 = inputs.sigma_w * inputs.sigma_w
-    delta1 = t1 * t1 / (2.0 * pair1 * (2.0 * pair1 + t1))
+    delta1 = t1 * t1 / (2.0 * (2.0 + t1))  # unit-power channels
     delta2 = t2 * t2 / (2.0 * pair2 * (2.0 * pair2 + t2))
     return delta1, delta2
 

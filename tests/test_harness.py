@@ -340,6 +340,20 @@ class TestRunSweep:
         )
         assert run_sweep(cfg)[0].bound is None
 
+    @pytest.mark.parametrize("settings, floors", [
+        (dict(D="2", snr="20", sweep="antennas:128,192,256,512"),
+         [0.0, 0.9980824653116456, 0.9999998892535383, 1.0]),
+        (dict(M="512", snr="20", sweep="sparsity:0,1,2"), [None, 0.9999999999999994, 1.0]),
+        (dict(D="2", M="512", sweep="snr:10,50,inf"), [0.9124586606662637, 1.0, None]),
+    ], ids=["antennas", "sparsity", "snr"])
+    def test_pinned_recovery_floors(self, settings, floors):
+        # D=0 and a noiseless point fall outside the floor's domain, so their cell is empty
+        cfg = apply_settings(ExperimentConfig(), dict(
+            K="10", L="8", lam="0.3", seed="7", N="0", redraw_pilots="false",
+            detector="cov-lasso", trials="1", **settings,
+        ))
+        assert [r.bound for r in run_sweep(cfg)] == floors
+
     def test_single_node_gives_no_bound(self):
         # one pilot column has no coherence, so the floor is undefined
         cfg = quick_config(

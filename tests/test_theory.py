@@ -99,8 +99,6 @@ def make_inputs(**overrides):
         D=2,
         L=8,
         M=1024,
-        sigma_max_1=1.0,
-        sigma_max_2=1.0,
         sigma_w=0.1,
         S_infnorm=0.5,
         sigma_min2=1.0,
@@ -113,11 +111,6 @@ class TestDeltas:
     def test_positive(self):
         delta1, delta2 = deltas(make_inputs())
         assert delta1 > 0 and delta2 > 0
-
-    def test_symmetric_in_sigma_pair(self):
-        da, _ = deltas(make_inputs(sigma_max_1=1.0, sigma_max_2=2.0))
-        db, _ = deltas(make_inputs(sigma_max_1=2.0, sigma_max_2=1.0))
-        assert da == pytest.approx(db)
 
     def test_requires_pairs(self):
         with pytest.raises(ConditionViolatedError):
