@@ -31,16 +31,13 @@ from .errors import (
 from .link import (
     channel_mse,
     demodulate,
-    despread_symbols,
     draw_symbols,
     ls_channel_estimate,
     ls_data_decode,
-    spread_symbols,
     symbol_error_rate,
 )
 from .model import (
     Support,
-    complex_normal,
     derive_rng,
     draw_channel_gaussian,
     draw_channel_ula,
@@ -101,7 +98,6 @@ class ExperimentConfig:
     paths: int = 200
     lam: float | None = None
     use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
-    spread_length: int = field(default=0, metadata={"key": "spread"})
     redraw_pilots: bool = True
     workers: int = 1
     stream: int = field(default=0, metadata=_NO_KEY)  # sweep-point index, set by the harness
@@ -109,7 +105,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.K < 1 or self.L < 1 or self.M < 1:
             raise ConfigError(f"K, L, M must be >= 1 (got K={self.K}, L={self.L}, M={self.M})")
-        if self.activity_prob is None and not 0 <= self.D <= self.K:
+        # a sparsity sweep sets D at every point, so the base D is unused there
+        if self.activity_prob is None and self.sweep_axis != "sparsity" and not 0 <= self.D <= self.K:
             raise ConfigError(f"D must lie in [0, {self.K}], got {self.D}")
         if self.activity_prob is not None and not 0.0 <= self.activity_prob <= 1.0:
             raise ConfigError(f"activity_prob must lie in [0, 1], got {self.activity_prob}")
@@ -125,8 +122,6 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.paths < 1:
             raise ConfigError(f"paths must be >= 1, got {self.paths}")
-        if self.spread_length < 0:
-            raise ConfigError(f"spread_length must be >= 0, got {self.spread_length}")
         if self.channel not in ("gaussian", "ula"):
             raise ConfigError(f"unknown channel model {self.channel!r}")
         if self.sweep_axis not in SWEEP_AXES:
@@ -223,15 +218,11 @@ PRESETS["fig8"] = PRESETS["fig5"]  # channel estimation error vs SNR
 
 
 @functools.lru_cache(maxsize=1)  # one sweep reads one (L, K, seed)
-def _shared_pilot_draw(L: int, K: int, seed: int) -> np.ndarray:
+def _shared_pilots(L: int, K: int, seed: int) -> np.ndarray:
+    """The sweep's shared dictionary, drawn once from its own stream and reused."""
     S = gen_gaussian_dictionary(L, K, derive_rng(seed, _PILOT_STREAM))
     S.flags.writeable = False  # every trial of the sweep gets this same array
     return S
-
-
-def _shared_pilots(config: ExperimentConfig) -> np.ndarray:
-    """The sweep's shared dictionary, drawn once from its own stream and reused."""
-    return _shared_pilot_draw(config.L, config.K, config.seed)
 
 
 def _run_detector(
@@ -273,7 +264,6 @@ def _score(
     Y_p: np.ndarray,
     Y_d: np.ndarray | None,
     true_symbols: np.ndarray,
-    codes: np.ndarray | None,
 ) -> TrialMetrics:
     """Estimate/decode for one detected support and score it against truth.
 
@@ -292,10 +282,7 @@ def _score(
         else:
             H_hat[:, detected] = ls_channel_estimate(Y_p, S[:, detected])
         if Y_d is not None and detected:
-            soft = ls_data_decode(Y_d, H_hat[:, detected])
-            if codes is not None:
-                soft = despread_symbols(soft, codes[detected])
-            est_symbols[detected] = demodulate(soft)
+            est_symbols[detected] = demodulate(ls_data_decode(Y_d, H_hat[:, detected]))
     except SingularSystemError:
         pass
     true_active = list(support.indices)
@@ -313,7 +300,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     S = (
         gen_gaussian_dictionary(config.L, config.K, rng)
         if config.redraw_pilots
-        else _shared_pilots(config)
+        else _shared_pilots(config.L, config.K, config.seed)
     )
     if config.activity_prob is not None:
         support = draw_support(config.K, rng, prob=config.activity_prob)
@@ -330,26 +317,18 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     Y_p = received_pilot(H_active, S[:, active], sigma_w2, rng)
 
     true_symbols = np.zeros((config.K, config.N), dtype=complex)
-    codes = None
     Y_d = None
     if config.N > 0:
         symbols = draw_symbols((support.size, config.N), rng)
         true_symbols[active] = symbols
-        tx = symbols
-        if config.spread_length > 1:
-            codes = complex_normal(rng, (config.K, config.spread_length))
-            codes /= np.linalg.norm(codes, axis=1, keepdims=True)
-            tx = spread_symbols(symbols, codes[active])
-        Y_d = received_data(H_active, tx, sigma_w2, rng)
+        Y_d = received_data(H_active, symbols, sigma_w2, rng)
 
     metrics: dict[str, TrialMetrics] = {}
     for name in config.detector_list():
         start = time.perf_counter()
         support_hat = _run_detector(name, Y_p, S, sigma_w2, support, config)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        metrics[name] = _score(
-            name, support, support_hat, runtime_ms, H, S, Y_p, Y_d, true_symbols, codes,
-        )
+        metrics[name] = _score(name, support, support_hat, runtime_ms, H, S, Y_p, Y_d, true_symbols)
     return TrialRecord(metrics)
 
 
@@ -384,7 +363,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
         or pc.activity_prob is not None
     ):
         return None
-    S = _shared_pilots(pc)
+    S = _shared_pilots(pc.L, pc.K, pc.seed)
     try:
         inputs = theory.BoundInputs(
             lam=pc.lam,

@@ -23,8 +23,6 @@ __all__ = [
     "ls_channel_estimate",
     "ls_data_decode",
     "demodulate",
-    "spread_symbols",
-    "despread_symbols",
     "channel_mse",
     "symbol_error_rate",
 ]
@@ -100,37 +98,6 @@ def demodulate(D_soft: np.ndarray) -> np.ndarray:
     """Nearest QPSK point per entry; ties go to the lowest index in ``QPSK``."""
     soft = np.asarray(D_soft, dtype=complex)
     return QPSK[np.argmin(np.abs(soft[..., None] - QPSK), axis=-1)]
-
-
-def spread_symbols(symbols: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-node random spreading: slot ``n`` of node ``k`` becomes ``d_kn * c_k``.
-
-    ``codes`` is ``K_a x L_d`` with unit-norm rows; output is
-    ``K_a x (N * L_d)`` with slot blocks laid out contiguously.
-    """
-    d = np.asarray(symbols)
-    c = np.asarray(codes)
-    if d.ndim != 2 or c.ndim != 2 or d.shape[0] != c.shape[0]:
-        raise InvalidParameterError("one spreading code per node required")
-    K_a, N = d.shape
-    L_d = c.shape[1]
-    return (d[:, :, None] * c[:, None, :]).reshape(K_a, N * L_d)
-
-
-def despread_symbols(soft: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Matched-filter despreading, inverse of :func:`spread_symbols`."""
-    s = np.asarray(soft)
-    c = np.asarray(codes)
-    if s.ndim != 2 or c.ndim != 2 or s.shape[0] != c.shape[0]:
-        raise InvalidParameterError("one spreading code per node required")
-    K_a = s.shape[0]
-    L_d = c.shape[1]
-    if s.shape[1] % L_d:
-        raise InvalidParameterError("soft block length must be a multiple of the code length")
-    N = s.shape[1] // L_d
-    blocks = s.reshape(K_a, N, L_d)
-    energy = np.sum(np.abs(c) ** 2, axis=1)
-    return np.einsum("knl,kl->kn", blocks, c.conj()) / energy[:, None]
 
 
 def channel_mse(H_true_active: np.ndarray, H_hat: np.ndarray) -> float:

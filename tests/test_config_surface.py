@@ -33,7 +33,6 @@ KEYS = {
     "workers": ("workers", "2", 2, "two"),
     "N": ("N", "8", 8, ""),
     "paths": ("paths", "50", 50, "many"),
-    "spread": ("spread_length", "4", 4, "four"),
     "lam": ("lam", "0.3", 0.3, "big"),
     "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
     "channel": ("channel", "ula", "ula", "rayleigh"),
@@ -46,10 +45,9 @@ FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
     "sweep_axis", "sweep_values", "N", "channel", "paths", "lam",
-    "use_known_sparsity",
-    "spread_length", "redraw_pilots", "workers", "stream",
+    "use_known_sparsity", "redraw_pilots", "workers", "stream",
 )
-INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths", "spread")
+INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths")
 FLOAT_KEYS = ("snr", "activity_prob", "lam")
 NULLABLE_KEYS = ("lam", "activity_prob")
 BOOL_KEYS = ("known_sparsity", "redraw_pilots")
@@ -105,6 +103,16 @@ def test_recovery_floor_has_no_switch(capsys):
         cli.main(["sweep", "--bound", "true"])
     assert exc.value.code == 2
     assert "--bound" in capsys.readouterr().err
+
+
+def test_data_symbols_have_no_spreading_key(capsys):
+    # the data stage sends unspread QPSK symbols
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        apply_settings(ExperimentConfig(), {"spread": "4"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--spread", "4"])
+    assert exc.value.code == 2
+    assert "--spread" in capsys.readouterr().err
 
 
 def test_cli_offers_exactly_one_flag_per_key():

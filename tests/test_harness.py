@@ -35,6 +35,60 @@ def quick_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+# (axis, detector, success_rate, ser, channel_mse) of the fig5 and fig6 presets
+# at trials=3 seed=1: the link stage's estimates, decisions and scores
+PINNED_LINK_ROWS = {
+    "fig5": [
+        (-10.0, "cov-lasso", 0.3333333333333333, 0.5887037037037037, 50.93189281566291),
+        (-10.0, "msbl", 0.0, 0.7444444444444445, 26.643258227765937),
+        (-10.0, "pai", 1.0, 0.17500000000000002, 80.95081908429046),
+        (-10.0, "paci", 1.0, 0.0, 0.0),
+        (-5.0, "cov-lasso", 1.0, 0.016666666666666666, 25.23396497308668),
+        (-5.0, "msbl", 0.6666666666666666, 0.07083333333333335, 24.00531694806405),
+        (-5.0, "pai", 1.0, 0.016666666666666666, 25.23396497308668),
+        (-5.0, "paci", 1.0, 0.0, 0.0),
+        (0.0, "cov-lasso", 1.0, 0.0, 8.246534861801054),
+        (0.0, "msbl", 1.0, 0.0, 8.246534861801054),
+        (0.0, "pai", 1.0, 0.0, 8.246534861801054),
+        (0.0, "paci", 1.0, 0.0, 0.0),
+        (5.0, "cov-lasso", 1.0, 0.0, 2.508546451648057),
+        (5.0, "msbl", 1.0, 0.0, 2.508546451648057),
+        (5.0, "pai", 1.0, 0.0, 2.508546451648057),
+        (5.0, "paci", 1.0, 0.0, 0.0),
+        (10.0, "cov-lasso", 1.0, 0.0, 0.8006949113707172),
+        (10.0, "msbl", 1.0, 0.0, 0.8006949113707172),
+        (10.0, "pai", 1.0, 0.0, 0.8006949113707172),
+        (10.0, "paci", 1.0, 0.0, 0.0),
+    ],
+    "fig6": [
+        (2.0, "cov-lasso", 1.0, 0.0, 0.20636358424699322),
+        (2.0, "msbl", 1.0, 0.0, 0.20636358424699322),
+        (2.0, "pai", 1.0, 0.0, 0.20636358424699322),
+        (2.0, "paci", 1.0, 0.0, 0.0),
+        (4.0, "cov-lasso", 1.0, 0.0, 0.4934829474866887),
+        (4.0, "msbl", 1.0, 0.0, 0.4934829474866887),
+        (4.0, "pai", 1.0, 0.0, 0.4934829474866887),
+        (4.0, "paci", 1.0, 0.0, 0.0),
+        (6.0, "cov-lasso", 1.0, 0.0, 0.8246534861801055),
+        (6.0, "msbl", 1.0, 0.0, 0.8246534861801055),
+        (6.0, "pai", 1.0, 0.0, 0.8246534861801055),
+        (6.0, "paci", 1.0, 0.0, 0.0),
+        (8.0, "cov-lasso", 1.0, 0.0, 1.199067725279808),
+        (8.0, "msbl", 1.0, 0.0, 1.199067725279808),
+        (8.0, "pai", 1.0, 0.0, 1.199067725279808),
+        (8.0, "paci", 1.0, 0.0, 0.0),
+        (10.0, "cov-lasso", 1.0, 0.0, 1.8542113283997868),
+        (10.0, "msbl", 1.0, 0.0, 1.8542113283997868),
+        (10.0, "pai", 1.0, 0.0, 1.8542113283997868),
+        (10.0, "paci", 1.0, 0.0, 0.0),
+        (12.0, "cov-lasso", 1.0, 0.0, 2.7219971070867204),
+        (12.0, "msbl", 1.0, 0.0, 2.7219971070867204),
+        (12.0, "pai", 1.0, 0.0, 2.7219971070867204),
+        (12.0, "paci", 1.0, 0.0, 0.0),
+    ],
+}
+
+
 class TestConfigValidation:
     def test_defaults_follow_reference_setup(self):
         c = ExperimentConfig()
@@ -64,6 +118,15 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigError):
                 quick_config(**bad).validate()
+
+    def test_sparsity_sweep_ignores_the_base_d(self):
+        # every point sets its own D, so the default D=10 > K is never used
+        cfg = apply_settings(ExperimentConfig(), dict(K="8", L="4", M="8", trials="1", sweep="sparsity:1,2"))
+        cfg.validate()
+        rows = run_sweep(cfg)
+        assert [(r.axis, r.detector) for r in rows] == [(1.0, "cov-lasso"), (2.0, "cov-lasso")]
+        with pytest.raises(ConfigError):
+            apply_settings(ExperimentConfig(), dict(K="8", D="9")).validate()
 
     def test_sparsity_sweep_needs_fixed_size_mode(self):
         cfg = quick_config(sweep_axis="sparsity", sweep_values=(2, 4), activity_prob=0.1)
@@ -209,12 +272,6 @@ class TestRunTrial:
         a, b = run_trial(cfg, 0), run_trial(cfg, 1)
         assert a.metrics and b.metrics  # both trials ran against one dictionary
 
-    def test_spread_data_stage_noiseless(self):
-        cfg = quick_config(snr_db=200.0, M=128, D=2, spread_length=4)
-        rec = run_trial(cfg, 0)
-        m = rec.metrics["cov-lasso"]
-        assert m.success and m.ser == 0.0
-
 
 class TestRunSweep:
     def test_rows_ordered_and_complete(self):
@@ -274,16 +331,16 @@ class TestRunSweep:
             return gen_gaussian_dictionary(L, K, rng)
 
         monkeypatch.setattr(harness, "gen_gaussian_dictionary", counting_draw)
-        harness._shared_pilot_draw.cache_clear()
+        harness._shared_pilots.cache_clear()
         cfg = quick_config(redraw_pilots=False, sweep_axis="snr", sweep_values=(0.0, 10.0),
                            trials=3, detector="cov-lasso,msbl")
         rows = run_sweep(cfg)
         assert calls == [(cfg.L, cfg.K)]
-        S = harness._shared_pilots(cfg)
+        S = harness._shared_pilots(cfg.L, cfg.K, cfg.seed)
         with pytest.raises(ValueError):
             S[0, 0] = 0.0
         # the uncached draw, repeated in every trial, gives the same rows
-        monkeypatch.setattr(harness, "_shared_pilot_draw", harness._shared_pilot_draw.__wrapped__)
+        monkeypatch.setattr(harness, "_shared_pilots", harness._shared_pilots.__wrapped__)
         fresh = run_sweep(cfg)
         assert len(calls) == 1 + 2 * cfg.trials
         assert [dataclasses.replace(r, runtime_ms=0.0) for r in rows] == [
@@ -354,6 +411,12 @@ class TestRunSweep:
         ))
         assert [r.bound for r in run_sweep(cfg)] == floors
 
+    @pytest.mark.parametrize("preset", sorted(PINNED_LINK_ROWS))
+    def test_pinned_link_stage_rows(self, preset):
+        cfg = dataclasses.replace(ExperimentConfig(**PRESETS[preset]), trials=3, seed=1)
+        rows = [(r.axis, r.detector, r.success_rate, r.ser, r.channel_mse) for r in run_sweep(cfg)]
+        assert rows == PINNED_LINK_ROWS[preset]
+
     def test_single_node_gives_no_bound(self):
         # one pilot column has no coherence, so the floor is undefined
         cfg = quick_config(
@@ -377,18 +440,6 @@ class TestRunSweep:
         rows = run_sweep(dataclasses.replace(cfg, activity_prob=1.0, K=8, snr_db=math.inf))
         assert [r.detector for r in rows] == ["cov-lasso", "msbl", "bomp", "mfocuss", "pai", "paci"]
         assert all((r.success_rate, r.ser) == (1.0, 0.0) for r in rows)
-
-    def test_spread_length_one_sends_unspread_symbols(self):
-        # SER reads about 0.9 (cov-lasso) and 0.55 (pai) here, so equal rows are not 0 = 0
-        cfg = ExperimentConfig(K=32, L=12, M=8, D=4, snr_db=-5.0, trials=20, detector="cov-lasso,pai")
-        rows = {
-            spread: [dataclasses.replace(r, runtime_ms=0.0)
-                     for r in run_sweep(dataclasses.replace(cfg, spread_length=spread))]
-            for spread in (0, 1, 2)
-        }
-        assert rows[1] == rows[0]
-        assert rows[2] != rows[0]
-        assert all(r.ser > 0.5 for r in rows[0])
 
     def test_antenna_sweep_changes_m(self):
         cfg = quick_config(sweep_axis="antennas", sweep_values=(16, 32), trials=3)

@@ -9,11 +9,9 @@ from gfdetect.link import (
     _solve_normal,
     channel_mse,
     demodulate,
-    despread_symbols,
     draw_symbols,
     ls_channel_estimate,
     ls_data_decode,
-    spread_symbols,
     symbol_error_rate,
 )
 from gfdetect.model import (
@@ -166,18 +164,6 @@ class TestDrawSymbols:
     def test_indexes_qpsk_with_the_same_stream(self):
         expected = QPSK[derive_rng(13, 31).integers(0, 4, (3, 7))]
         assert np.array_equal(draw_symbols((3, 7), derive_rng(13, 31)), expected)
-
-
-class TestSpreading:
-    def test_round_trip(self):
-        rng = derive_rng(7, 31)
-        symbols = draw_symbols((3, 5), rng)
-        codes = complex_normal(rng, (3, 4))
-        codes /= np.linalg.norm(codes, axis=1, keepdims=True)
-        spread = spread_symbols(symbols, codes)
-        assert spread.shape == (3, 20)
-        back = despread_symbols(spread, codes)
-        assert np.max(np.abs(back - symbols)) < 1e-12
 
 
 class TestChannelMse:
