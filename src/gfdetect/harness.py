@@ -67,7 +67,6 @@ DETECTOR_NAMES = ("cov-lasso", "msbl", "bomp", "mfocuss")
 GENIE_NAMES = ("pai", "paci")
 _AXIS_FIELDS = {"sparsity": "D", "snr": "snr_db", "antennas": "M"}  # sweep axis -> field it sets
 SWEEP_AXES = ("none", *_AXIS_FIELDS)  # "none" (unswept) first
-_MAX_SWEEP_POINTS = 10_000  # a start:step:stop range may not ask for more
 
 _PILOT_STREAM = 0x70494C4F  # stream key for the shared dictionary draw
 _NO_KEY = {"key": None}  # field metadata: no configuration key sets this field
@@ -126,8 +125,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown channel model {self.channel!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
-        if self.sweep_axis != "none" and not self.sweep_values:
-            raise ConfigError("sweep requires at least one axis value")
+        if (self.sweep_axis != "none") != bool(self.sweep_values):
+            raise ConfigError("a sweep needs both an axis and at least one value")
         if self.sweep_axis == "sparsity" and self.activity_prob is not None:
             raise ConfigError("sparsity sweeps require fixed-size activity")
         self.detector_list()
@@ -262,7 +261,7 @@ def _score(
     H: np.ndarray,
     S: np.ndarray,
     Y_p: np.ndarray,
-    Y_d: np.ndarray | None,
+    Y_d: np.ndarray,
     true_symbols: np.ndarray,
 ) -> TrialMetrics:
     """Estimate/decode for one detected support and score it against truth.
@@ -281,8 +280,7 @@ def _score(
             H_hat[:, detected] = H[:, detected]
         else:
             H_hat[:, detected] = ls_channel_estimate(Y_p, S[:, detected])
-        if Y_d is not None and detected:
-            est_symbols[detected] = demodulate(ls_data_decode(Y_d, H_hat[:, detected]))
+        est_symbols[detected] = demodulate(ls_data_decode(Y_d, H_hat[:, detected]))
     except SingularSystemError:
         pass
     true_active = list(support.indices)
@@ -316,12 +314,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     H_active = H[:, active]
     Y_p = received_pilot(H_active, S[:, active], sigma_w2, rng)
 
+    # at N=0 these are empty blocks, whose draws leave the generator where it was
+    symbols = draw_symbols((support.size, config.N), rng)
     true_symbols = np.zeros((config.K, config.N), dtype=complex)
-    Y_d = None
-    if config.N > 0:
-        symbols = draw_symbols((support.size, config.N), rng)
-        true_symbols[active] = symbols
-        Y_d = received_data(H_active, symbols, sigma_w2, rng)
+    true_symbols[active] = symbols
+    Y_d = received_data(H_active, symbols, sigma_w2, rng)
 
     metrics: dict[str, TrialMetrics] = {}
     for name in config.detector_list():
@@ -448,34 +445,15 @@ def emit_csv(rows: list[MetricsRow], destination) -> None:
 
 
 def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
-    """Parse ``axis:start:step:stop`` or ``axis:v1,v2,...`` sweep syntax."""
-    parts = spec.split(":")
-    axis = parts[0].strip()
+    """Parse ``axis:v1,v2,...`` sweep syntax; every entry must be a number."""
+    axis, _, values = spec.partition(":")
+    axis = axis.strip()
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     try:
-        if len(parts) == 4:
-            start, step, stop = (float(p) for p in parts[1:])
-            if not all(map(math.isfinite, (start, step, stop))):
-                raise ConfigError(f"non-finite sweep range in {spec!r}")
-            if step == 0 or (stop - start) * step < 0:
-                raise ConfigError(f"unreachable sweep range in {spec!r}")
-            span = (stop - start) / step + 1e-9  # inf if the range overflows
-            if span >= _MAX_SWEEP_POINTS:
-                raise ConfigError(f"sweep range {spec!r} has over {_MAX_SWEEP_POINTS} points")
-            count = int(math.floor(span)) + 1
-            values = tuple(start + i * step for i in range(count))
-        elif len(parts) == 2:
-            values = tuple(float(tok) for tok in parts[1].split(",") if tok.strip())
-        else:
-            raise ConfigError(f"malformed sweep spec {spec!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a token that is not a number
-        raise ConfigError(f"malformed sweep spec {spec!r}") from exc
-    if not values:
-        raise ConfigError(f"sweep spec {spec!r} has no values")
-    return axis, values
+        return axis, tuple(float(tok) for tok in values.split(","))
+    except ValueError as exc:  # an empty entry, a second ':' or a non-number
+        raise ConfigError(f"malformed sweep spec {spec!r}, expected axis:v1,v2,...") from exc
 
 
 def _parse_bool(text: str) -> bool:

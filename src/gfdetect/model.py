@@ -173,9 +173,7 @@ def draw_channel_gaussian(
     if not np.all((var > 0) & (var < math.inf)):  # also rejects NaN
         raise InvalidParameterError("active-node variances must be positive and finite")
     H = np.zeros((M, support.K), dtype=complex)
-    if support.size:
-        block = complex_normal(rng, (M, support.size)) * np.sqrt(var)[None, :]
-        H[:, list(support.indices)] = block
+    H[:, list(support.indices)] = complex_normal(rng, (M, support.size)) * np.sqrt(var)
     return H
 
 

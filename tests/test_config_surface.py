@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gfdetect import cli
 from gfdetect.errors import ConfigError
-from gfdetect.harness import ExperimentConfig, apply_settings
+from gfdetect.harness import ExperimentConfig, apply_settings, parse_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,7 +39,7 @@ KEYS = {
     "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
     "redraw_pilots": ("redraw_pilots", "off", False, "2"),
 }
-SWEEP = ("snr:-10:5:0", ("snr", (-10.0, -5.0, 0.0)), "volume:1,2")
+SWEEP = ("snr:-10,-5,0", ("snr", (-10.0, -5.0, 0.0)), "volume:1,2")
 FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 
 FIELDS = (
@@ -152,6 +152,14 @@ def test_readme_cli_examples_parse_and_validate():
         cli._build_config(cli.build_parser().parse_args(argv))  # ConfigError if invalid; runs no trial
 
 
+def test_readme_sweep_values_parse():
+    # every sweep the README spells out is a list the parser accepts
+    specs = re.findall(r"(?:--sweep |sweep=)([^\s`]+)", README.read_text(encoding="utf-8"))
+    assert len(specs) >= 4
+    for spec in specs:
+        parse_sweep(spec)
+
+
 def test_readme_lists_every_key():
     match = re.search(r"Config keys: `([^`]*)`", README.read_text(encoding="utf-8"))
     assert match, "README has no 'Config keys:' line"
@@ -170,6 +178,19 @@ def test_integers_round_trip(key, n):
 def test_floats_round_trip(key, x):
     config = apply_settings(ExperimentConfig(), {key: repr(x)})
     assert getattr(config, KEYS[key][0]) == x
+
+
+@given(
+    entries=st.lists(
+        st.tuples(st.sampled_from(["", " ", "\t"]),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(["", " ", "\t"])),
+        min_size=1,
+    ),
+)
+def test_every_list_of_numbers_is_a_sweep(entries):
+    spec = "snr:" + ",".join(f"{left}{x!r}{right}" for left, x, right in entries)
+    assert parse_sweep(spec) == ("snr", tuple(x for _, x, _ in entries))
 
 
 @given(

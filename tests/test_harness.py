@@ -115,6 +115,7 @@ class TestConfigValidation:
             dict(sweep_axis="sparsity", sweep_values=(nan,)),
             dict(sweep_axis="antennas", sweep_values=(0,)),
             dict(sweep_axis="snr", sweep_values=(0.0, nan)),
+            dict(sweep_values=(1.0, 2.0)),  # values without an axis would run one unswept point
         ):
             with pytest.raises(ConfigError):
                 quick_config(**bad).validate()
@@ -135,10 +136,10 @@ class TestConfigValidation:
 
 
 class TestSweepParsing:
-    def test_range_spec(self):
-        axis, values = parse_sweep("snr:-10:2:10")
-        assert axis == "snr"
-        assert values == tuple(float(v) for v in range(-10, 12, 2))
+    def test_range_spec_is_rejected(self):
+        # a sweep lists its values; start:step:stop is not a spelling of one
+        with pytest.raises(ConfigError, match="expected axis:v1,v2"):
+            parse_sweep("snr:-10:2:10")
 
     def test_list_spec(self):
         axis, values = parse_sweep("sparsity:2,4,6")
@@ -150,20 +151,6 @@ class TestSweepParsing:
                      "snr:-inf:1:0", "snr:0:inf:10", "snr:0:1:nan"):
             with pytest.raises(ConfigError):
                 parse_sweep(spec)
-
-    def test_range_count_is_capped(self, monkeypatch):
-        # the count is checked before any value is built: a range() that
-        # refuses large counts stands in for the host's memory
-        def bounded_range(n):
-            assert n <= 10_000, f"parse_sweep started building {n} values"
-            return range(n)
-
-        monkeypatch.setattr(gfdetect.harness, "range", bounded_range, raising=False)
-        # 10^9 points; an overflowing span; one point over the cap
-        for spec in ("snr:0:1e-9:1", "snr:-1e308:1e300:1e308", "snr:0:1:10000"):
-            with pytest.raises(ConfigError):
-                parse_sweep(spec)
-        assert len(parse_sweep("snr:0:1:9999")[1]) == 10_000
 
     def test_infinite_snr_value_is_noiseless(self):
         axis, values = parse_sweep("snr:inf")
@@ -265,6 +252,15 @@ class TestRunTrial:
         rec = run_trial(cfg, 0)
         assert rec.metrics["cov-lasso"].channel_mse == 3.0
         assert rec.metrics["pai"].channel_mse == 3.0
+        assert rec.metrics["paci"].channel_mse == 0.0
+
+    def test_singular_decode_without_data_keeps_the_estimate(self):
+        # three estimated channels cannot be decoded on two antennas; with N=0
+        # the empty decode still fails, and the estimate is scored as usual
+        rec = run_trial(quick_config(N=0, M=2, D=3, detector="pai,paci"), 0)
+        for m in rec.metrics.values():
+            assert m.success and m.ser == 0.0
+        assert 0.0 < rec.metrics["pai"].channel_mse < 3.0
         assert rec.metrics["paci"].channel_mse == 0.0
 
     def test_shared_pilot_dictionary_mode(self):
@@ -523,10 +519,14 @@ class TestCli:
         ["--seed", "-1"],
         ["--sweep", "snr:-inf:1:0"],
         ["--sweep", "snr:0:inf:10"],
+        ["--sweep", "snr:-10:2:10"],
+        ["--sweep", "snr:1,,2"],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
         assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2
-        assert capsys.readouterr().err.startswith("gfdetect: configuration error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("gfdetect: configuration error: ")
+        assert captured.out == ""  # no CSV
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -97,6 +97,11 @@ class TestNormalEquations:
         assert ls_channel_estimate(Y, np.zeros((4, 0), complex)).shape == (6, 0)
         assert ls_data_decode(Y, np.zeros((6, 0), complex)).shape == (0, 4)
 
+    def test_zero_symbol_block_decodes_to_an_empty_block(self):
+        # a trial with N=0 decodes an M x 0 data block
+        H = complex_normal(derive_rng(7, 32), (6, 3))
+        assert demodulate(ls_data_decode(np.zeros((6, 0), complex), H)).shape == (3, 0)
+
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 12), L=st.integers(1, 10),
            data=st.data())
     def test_channel_estimate_is_decode_of_the_conjugate_block(self, seed, M, L, data):
@@ -164,6 +169,17 @@ class TestDrawSymbols:
     def test_indexes_qpsk_with_the_same_stream(self):
         expected = QPSK[derive_rng(13, 31).integers(0, 4, (3, 7))]
         assert np.array_equal(draw_symbols((3, 7), derive_rng(13, 31)), expected)
+
+    def test_empty_blocks_draw_nothing(self):
+        # an N=0 trial, or one with no active node, leaves its stream where it was
+        rng = derive_rng(13, 32)
+        H = draw_channel_gaussian(6, Support((), 5), rng)
+        symbols = draw_symbols((3, 0), rng)
+        received_data(complex_normal(rng, (6, 3)), symbols, 0.5, rng)
+        expected = derive_rng(13, 32)
+        complex_normal(expected, (6, 3))
+        assert not H.any() and symbols.shape == (3, 0)
+        assert rng.standard_normal() == expected.standard_normal()
 
 
 class TestChannelMse:
