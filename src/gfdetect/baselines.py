@@ -124,7 +124,7 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
         gamma_new = _msbl_step(gamma, S, S_conj, noise, R_hat)
         gamma_new[gamma_new < _GAMMA_FLOOR] = 0.0
         peak = gamma_new.max()
-        change = np.max(np.abs(gamma_new - gamma))
+        change = np.abs(gamma_new - gamma).max()
         gamma = gamma_new
         if peak == 0.0 or change <= _MSBL_GAMMA_TOL * max(peak, 1e-30):
             break
@@ -135,10 +135,11 @@ def _msbl_step(
     gamma: np.ndarray, S: np.ndarray, S_conj: np.ndarray, noise: np.ndarray, R_hat: np.ndarray
 ) -> np.ndarray:
     """One EM update of MSBL's hyperparameters, before the floor (see :func:`msbl`)."""
-    sigma_y = noise + (S * gamma[None, :]) @ S_conj.T
+    sigma_y = (S * gamma) @ S_conj.T
+    sigma_y += noise
     G = np.linalg.inv(sigma_y)
     E = G @ (R_hat - sigma_y) @ G  # -dl/dgamma_k = Re(s_k^H E s_k)
-    return gamma + gamma * gamma * np.sum((S_conj * (E @ S)).real, axis=0)
+    return gamma + gamma * gamma * (S_conj * (E @ S)).real.sum(axis=0)
 
 
 def bomp(problem: MmvProblem, D: int) -> Support:

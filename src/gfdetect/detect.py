@@ -156,7 +156,7 @@ def _step_constant(gram: np.ndarray) -> float:
     w = gram @ v
     value = 0.0
     for _ in range(_POWER_STEPS):
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w @ w)  # np.linalg.norm's own formula for a 1-D float array
         if nw == 0:
             return 0.0
         v = w / nw

@@ -658,9 +658,14 @@ def test_step_constant_is_exact_when_the_power_iteration_is_capped():
 def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
     """The power iteration with its own Rayleigh product: two ``gram @ v`` per step.
 
-    Past ``iterations`` steps the eigenvalue comes from ``eigvalsh``.
+    Its norm is ``np.linalg.norm``'s. Past ``K * max(diag) = 2**500`` it runs on
+    ``gram`` scaled by a power of two; past ``iterations`` steps the
+    eigenvalue comes from ``eigvalsh``.
     """
     K = gram.shape[0]
+    top = float(np.max(np.diagonal(gram), initial=0.0))
+    e = math.frexp(top)[1] if K * top > 2.0**500 else 0
+    gram = np.ldexp(gram, -e)
     v = np.ones(K) / math.sqrt(K)
     value = 0.0
     for _ in range(iterations):
@@ -671,17 +676,18 @@ def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
         v = w / nw
         new_value = float(v @ (gram @ v))
         if abs(new_value - value) <= rtol * max(new_value, 1.0):
-            return new_value
+            return math.ldexp(new_value, e)
         value = new_value
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return math.ldexp(float(np.linalg.eigvalsh(gram)[-1]), e)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), K=st.integers(1, 40),
-       zero=st.booleans())
-def test_power_iteration_reuses_its_rayleigh_product_bit_for_bit(seed, rows, K, zero):
+       zero=st.booleans(), scale=st.sampled_from([1.0, 1e76, 1e148]))
+def test_power_iteration_reuses_its_rayleigh_product_bit_for_bit(seed, rows, K, zero, scale):
+    # the 1e76 and 1e148 scales put K * max(diag) past 2**500, the rescaled branch
     rng = derive_rng(seed, 37)
-    B = rng.standard_normal((rows, K)) * 10.0 ** rng.uniform(-3.0, 3.0, size=K)
+    B = rng.standard_normal((rows, K)) * 10.0 ** rng.uniform(-3.0, 3.0, size=K) * scale
     gram = np.zeros((K, K)) if zero else B.T @ B
     assert detect._step_constant(gram) == _spectral_norm_sq_two_products(gram)
 
