@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
     group = sweep.add_argument_group("configuration keys (override preset and config file)")
     for key in CONFIG_KEYS:
-        group.add_argument("--" + key.replace("_", "-"), dest=f"opt_{key}", metavar="VALUE", help=f"set {key}")
+        group.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                           metavar="VALUE", help=f"set {key}")
     return parser
 
 
@@ -43,11 +44,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig(**PRESETS[args.preset])
     if args.config:
         config = apply_settings(config, parse_config_file(args.config))
-    overrides: dict[str, str] = {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, f"opt_{key}")
-        if value is not None:
-            overrides[key] = value
+    # a flag not given leaves no attribute, so only the flags given override
+    overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
     config = apply_settings(config, overrides)
     config.validate()
     return config
@@ -63,10 +61,7 @@ def main(argv=None) -> int:
         return 2
     try:
         rows = run_sweep(config)
-        if args.out:
-            emit_csv(rows, args.out)
-        else:
-            emit_csv(rows, sys.stdout)
+        emit_csv(rows, args.out or sys.stdout)
     except OSError as exc:
         target = args.out or "<stdout>"
         print(f"gfdetect: I/O error writing {target}: {exc}", file=sys.stderr)

@@ -146,16 +146,12 @@ class ExperimentConfig:
         names: list[str] = []
         for token in self.detector.split(","):
             token = token.strip()
-            if not token:
-                continue
             if token == "all":
                 names.extend(DETECTOR_NAMES)
             elif token in DETECTOR_NAMES or token in GENIE_NAMES:
                 names.append(token)
             else:
                 raise ConfigError(f"unknown detector {token!r}")
-        if not names:
-            raise ConfigError("no detector selected")
         # preserve order, drop duplicates
         return tuple(dict.fromkeys(names))
 
@@ -329,10 +325,6 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     return TrialRecord(metrics)
 
 
-def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
-    return run_trial(*args)
-
-
 def _sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfig]]:
     if config.sweep_axis == "none":
         return [(0.0, config)]
@@ -368,7 +360,7 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
             D=pc.D,
             L=pc.L,
             M=pc.M,
-            sigma_w=math.sqrt(noise_variance(pc.snr_db)),
+            sigma_w2=noise_variance(pc.snr_db),
             S_infnorm=float(np.max(np.abs(S))),
             sigma_min2=1.0,
         )
@@ -386,18 +378,19 @@ def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
     """
     config.validate()
     points = _sweep_points(config)
-    tasks = [(pc, i) for _, pc in points for i in range(config.trials)]
+    configs = [pc for _, pc in points for _ in range(config.trials)]
+    indices = list(range(config.trials)) * len(points)
     if config.workers > 1:
         # imported here: the process-pool machinery adds about 30 ms to a cold
         # start (the CLI's included, on a 2-core host), and a one-process
         # sweep never uses it
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(tasks) // (8 * config.workers))
+        chunksize = max(1, len(configs) // (8 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=chunksize))
+            records = list(pool.map(run_trial, configs, indices, chunksize=chunksize))
     else:
-        records = [run_trial(pc, i) for pc, i in tasks]
+        records = list(map(run_trial, configs, indices))
     rows: list[MetricsRow] = []
     for p, (value, pc) in enumerate(points):
         point_records = records[p * config.trials:(p + 1) * config.trials]

@@ -37,7 +37,7 @@ class BoundInputs:
     """Everything the bound evaluation needs about one configuration.
 
     Active channels have unit power, so the channel cross terms need no
-    variance of their own. ``sigma_w`` is the white-noise standard deviation,
+    variance of their own. ``sigma_w2`` is the white-noise variance,
     ``S_infnorm`` the largest pilot-entry magnitude, and ``sigma_min2`` the
     smallest active-channel variance; ``D`` may not exceed
     ``max_identifiable_support(mu)``.
@@ -48,7 +48,7 @@ class BoundInputs:
     D: int
     L: int
     M: int
-    sigma_w: float
+    sigma_w2: float
     S_infnorm: float
     sigma_min2: float
 
@@ -56,7 +56,7 @@ class BoundInputs:
         positives = {
             "lam": self.lam,
             "mu": self.mu,
-            "sigma_w": self.sigma_w,
+            "sigma_w2": self.sigma_w2,
             "S_infnorm": self.S_infnorm,
             "sigma_min2": self.sigma_min2,
         }
@@ -133,9 +133,8 @@ def deltas(inputs: BoundInputs) -> tuple[float, float]:
     C2 = (1.0 - _SPLIT) * target
     t1 = C1 * inputs.M / (inputs.S_infnorm**2 * inputs.D * (inputs.D - 1))
     t2 = C2 * inputs.M / (inputs.L * (inputs.L - 1))
-    pair2 = inputs.sigma_w * inputs.sigma_w
     delta1 = t1 * t1 / (2.0 * (2.0 + t1))  # unit-power channels
-    delta2 = t2 * t2 / (2.0 * pair2 * (2.0 * pair2 + t2))
+    delta2 = t2 * t2 / (2.0 * inputs.sigma_w2 * (2.0 * inputs.sigma_w2 + t2))
     return delta1, delta2
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gfdetect import cli
 from gfdetect.errors import ConfigError
-from gfdetect.harness import ExperimentConfig, apply_settings, parse_sweep
+from gfdetect.harness import DETECTOR_NAMES, GENIE_NAMES, ExperimentConfig, apply_settings, parse_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -180,11 +180,12 @@ def test_floats_round_trip(key, x):
     assert getattr(config, KEYS[key][0]) == x
 
 
+PADS = st.sampled_from(["", " ", "\t"])
+
+
 @given(
     entries=st.lists(
-        st.tuples(st.sampled_from(["", " ", "\t"]),
-                  st.floats(allow_nan=False, allow_infinity=False),
-                  st.sampled_from(["", " ", "\t"])),
+        st.tuples(PADS, st.floats(allow_nan=False, allow_infinity=False), PADS),
         min_size=1,
     ),
 )
@@ -194,10 +195,26 @@ def test_every_list_of_numbers_is_a_sweep(entries):
 
 
 @given(
+    entries=st.lists(st.tuples(PADS, st.sampled_from([*DETECTOR_NAMES, *GENIE_NAMES, "all"]), PADS),
+                     min_size=1),
+    empty=st.tuples(PADS, PADS),
+    at=st.integers(0),
+)
+def test_every_list_of_names_is_a_detector_list(entries, empty, at):
+    # a detector list reads like a sweep list: comma-separated, no empty entry
+    tokens = [f"{left}{name}{right}" for left, name, right in entries]
+    expanded = [n for _, name, _ in entries for n in (DETECTOR_NAMES if name == "all" else (name,))]
+    assert ExperimentConfig(detector=",".join(tokens)).detector_list() == tuple(dict.fromkeys(expanded))
+    tokens.insert(at % (len(tokens) + 1), "".join(empty))
+    with pytest.raises(ConfigError, match="unknown detector"):
+        ExperimentConfig(detector=",".join(tokens)).detector_list()
+
+
+@given(
     key=st.sampled_from(BOOL_KEYS),
     word=st.sampled_from(TRUE_WORDS + FALSE_WORDS),
     upper=st.lists(st.booleans(), min_size=5, max_size=5),
-    pad=st.sampled_from(["", " ", "\t"]),
+    pad=PADS,
 )
 def test_every_boolean_spelling_parses(key, word, upper, pad):
     text = pad + "".join(c.upper() if u else c for c, u in zip(word, upper)) + pad

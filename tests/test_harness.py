@@ -35,9 +35,80 @@ def quick_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-# (axis, detector, success_rate, ser, channel_mse) of the fig5 and fig6 presets
-# at trials=3 seed=1: the link stage's estimates, decisions and scores
+# (axis, detector, success_rate, ser, channel_mse) of every figure preset at
+# trials=3 seed=1: each detector's support, and the link stage's estimates,
+# decisions and scores for it (fig4's M=16 point has fewer antennas than pilots)
 PINNED_LINK_ROWS = {
+    "fig2": [
+        (2.0, "cov-lasso", 1.0, 0.0, 2.2092700623370694),
+        (2.0, "msbl", 1.0, 0.0, 2.2092700623370694),
+        (2.0, "bomp", 1.0, 0.0, 2.2092700623370694),
+        (2.0, "mfocuss", 1.0, 0.0, 2.2092700623370694),
+        (4.0, "cov-lasso", 1.0, 0.0, 4.6938274383889445),
+        (4.0, "msbl", 1.0, 0.0, 4.6938274383889445),
+        (4.0, "bomp", 0.6666666666666666, 0.13333333333333333, 4.7519674010713615),
+        (4.0, "mfocuss", 1.0, 0.0, 4.6938274383889445),
+        (6.0, "cov-lasso", 1.0, 0.008333333333333333, 7.85449216891334),
+        (6.0, "msbl", 0.6666666666666666, 0.11805555555555557, 7.626981993704571),
+        (6.0, "bomp", 0.3333333333333333, 0.20595238095238097, 7.539558245481875),
+        (6.0, "mfocuss", 1.0, 0.008333333333333333, 7.85449216891334),
+        (8.0, "cov-lasso", 1.0, 0.03125, 11.900463745794383),
+        (8.0, "msbl", 1.0, 0.03125, 11.900463745794383),
+        (8.0, "bomp", 0.0, 0.45023148148148145, 10.125401906840244),
+        (8.0, "mfocuss", 1.0, 0.03125, 11.900463745794383),
+        (10.0, "cov-lasso", 1.0, 0.047499999999999994, 18.0078952769713),
+        (10.0, "msbl", 1.0, 0.047499999999999994, 18.0078952769713),
+        (10.0, "bomp", 0.0, 0.26994949494949494, 15.368763801161597),
+        (10.0, "mfocuss", 1.0, 0.047499999999999994, 18.0078952769713),
+        (12.0, "cov-lasso", 1.0, 0.08958333333333333, 27.928997455386607),
+        (12.0, "msbl", 1.0, 0.08958333333333333, 27.928997455386607),
+        (12.0, "bomp", 0.0, 0.46388888888888885, 20.86554233242178),
+        (12.0, "mfocuss", 1.0, 0.08958333333333333, 27.928997455386607),
+    ],
+    "fig3": [
+        (-10.0, "cov-lasso", 0.0, 0.8440625, 95.79403763667803),
+        (-10.0, "msbl", 0.0, 0.8665384615384615, 52.12986502940927),
+        (-10.0, "bomp", 0.0, 0.8364705882352941, 66.7122620352027),
+        (-10.0, "mfocuss", 0.0, 0.9866666666666667, 14.442877127674434),
+        (-5.0, "cov-lasso", 0.0, 0.4360722610722611, 51.81607553755017),
+        (-5.0, "msbl", 0.0, 0.5287121212121212, 35.97529447096186),
+        (-5.0, "bomp", 0.0, 0.7386755952380953, 28.434247753732766),
+        (-5.0, "mfocuss", 0.0, 0.9225, 13.048647449014211),
+        (0.0, "cov-lasso", 1.0, 0.059166666666666666, 16.662205778891792),
+        (0.0, "msbl", 1.0, 0.059166666666666666, 16.662205778891792),
+        (0.0, "bomp", 0.0, 0.3212121212121212, 14.964577281741796),
+        (0.0, "mfocuss", 1.0, 0.059166666666666666, 16.662205778891792),
+        (5.0, "cov-lasso", 1.0, 0.0033333333333333335, 5.916023311926374),
+        (5.0, "msbl", 1.0, 0.0033333333333333335, 5.916023311926374),
+        (5.0, "bomp", 0.3333333333333333, 0.12348484848484849, 5.973833182809984),
+        (5.0, "mfocuss", 1.0, 0.0033333333333333335, 5.916023311926374),
+        (10.0, "cov-lasso", 1.0, 0.0, 1.8007895276971297),
+        (10.0, "msbl", 1.0, 0.0, 1.8007895276971297),
+        (10.0, "bomp", 0.6666666666666666, 0.06060606060606061, 2.278788392813982),
+        (10.0, "mfocuss", 1.0, 0.0, 1.8007895276971297),
+    ],
+    "fig4": [
+        (16.0, "cov-lasso", 0.0, 0.616559829059829, 17.151942262370426),
+        (16.0, "msbl", 0.0, 0.6044444444444445, 16.422483208303692),
+        (16.0, "bomp", 0.0, 0.7941269841269842, 14.205130135147286),
+        (16.0, "mfocuss", 0.0, 0.5753030303030303, 15.14438295876846),
+        (32.0, "cov-lasso", 0.0, 0.3995580808080808, 15.05232452586973),
+        (32.0, "msbl", 0.0, 0.38166666666666665, 13.27871490724811),
+        (32.0, "bomp", 0.0, 0.5036324786324786, 14.415264072465964),
+        (32.0, "mfocuss", 0.0, 0.35166666666666674, 13.18295661377086),
+        (64.0, "cov-lasso", 1.0, 0.1025, 16.201420941897908),
+        (64.0, "msbl", 0.0, 0.24083333333333334, 14.495283943952707),
+        (64.0, "bomp", 0.0, 0.37202380952380953, 15.250301003639613),
+        (64.0, "mfocuss", 0.0, 0.22083333333333333, 15.097935262651353),
+        (128.0, "cov-lasso", 1.0, 0.06, 18.708108356340123),
+        (128.0, "msbl", 0.6666666666666666, 0.09166666666666667, 18.437826634788184),
+        (128.0, "bomp", 0.0, 0.47592074592074596, 14.82336394944557),
+        (128.0, "mfocuss", 0.6666666666666666, 0.09749999999999999, 17.693390145048244),
+        (256.0, "cov-lasso", 1.0, 0.03916666666666667, 18.556138056749727),
+        (256.0, "msbl", 1.0, 0.03916666666666667, 18.556138056749727),
+        (256.0, "bomp", 0.0, 0.21515151515151518, 15.387417028080478),
+        (256.0, "mfocuss", 1.0, 0.03916666666666667, 18.556138056749727),
+    ],
     "fig5": [
         (-10.0, "cov-lasso", 0.3333333333333333, 0.5887037037037037, 50.93189281566291),
         (-10.0, "msbl", 0.0, 0.7444444444444445, 26.643258227765937),
@@ -521,6 +592,8 @@ class TestCli:
         ["--sweep", "snr:0:inf:10"],
         ["--sweep", "snr:-10:2:10"],
         ["--sweep", "snr:1,,2"],
+        ["--detector", "msbl,"],
+        ["--detector", ","],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
         assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2

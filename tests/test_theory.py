@@ -99,7 +99,7 @@ def make_inputs(**overrides):
         D=2,
         L=8,
         M=1024,
-        sigma_w=0.1,
+        sigma_w2=0.01,
         S_infnorm=0.5,
         sigma_min2=1.0,
     )
@@ -153,13 +153,13 @@ class TestEvaluateRecoveryBound:
 
     @given(lam=st.floats(0.01, 2.0), mu=st.floats(0.05, 0.7), D=st.integers(1, 12),
            L=st.integers(2, 24), M=st.integers(1, 4096), extra=st.integers(1, 4096),
-           sigma_w=st.floats(0.01, 2.0), S_infnorm=st.floats(0.1, 2.0),
+           sigma_w2=st.floats(1e-4, 4.0), S_infnorm=st.floats(0.1, 2.0),
            sigma_min2=st.floats(0.1, 3.0))
     def test_bound_is_a_probability_nondecreasing_in_antennas(
-        self, lam, mu, D, L, M, extra, sigma_w, S_infnorm, sigma_min2
+        self, lam, mu, D, L, M, extra, sigma_w2, S_infnorm, sigma_min2
     ):
         D = min(D, math.ceil(0.5 * (1.0 + 1.0 / mu**2)) - 1)  # coherence hypothesis
-        common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w=sigma_w, S_infnorm=S_infnorm,
+        common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w2=sigma_w2, S_infnorm=S_infnorm,
                       sigma_min2=sigma_min2)
         fewer = evaluate_recovery_bound(make_inputs(M=M, **common))
         more = evaluate_recovery_bound(make_inputs(M=M + extra, **common))
