@@ -7,9 +7,10 @@ multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
 * ``msbl``    - multiple-measurement sparse Bayesian learning with EM
                 hyperparameter updates (Wipf & Rao style), noise variance
                 frozen at its true value. It reads the block only through
-                the sample covariance ``R_hat = Y Y^H / M``, and each EM step
-                is a diagonally scaled gradient step on the covariance
-                likelihood ``log det Sigma_y + tr(Sigma_y^-1 R_hat)``.
+                the sample covariance ``R_hat = Y Y^H / M``, the one the
+                covariance detector reads, and each EM step is a diagonally
+                scaled gradient step on the covariance likelihood
+                ``log det Sigma_y + tr(Sigma_y^-1 R_hat)``.
 * ``bomp``    - block orthogonal matching pursuit on the Kronecker-lifted
                 single-vector model, evaluated in its mathematically
                 equivalent unlifted form (simultaneous OMP).
@@ -19,17 +20,17 @@ multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
 All three are deterministic given their inputs.
 
 Each solver depends on ``Y`` only through ``Y Y^H``. MSBL reads ``R_hat``
-itself; every iterate the other two form is ``C Y`` for some matrix ``C``,
-and they read those iterates only through row norms, residual norms and
-Frobenius norms of differences. So
-:meth:`MmvProblem.from_received_pilot` checks the pilot block once and keeps
-only an ``L x min(L, M)`` factor ``F`` with ``F F^H = Y Y^H``: ``Y`` itself
-for ``M <= L``, and otherwise ``F = R^H`` of the QR decomposition
-``Y_p = Q R``. Since ``Y = F Q^H`` and ``Q`` has orthonormal columns,
-right-multiplying by ``Q^H`` keeps all those norms, so the supports are those
-of the full observation at an ``L x L`` instead of ``L x M`` cost per step.
-Quantities that scale with the snapshot count (MSBL's sample covariance,
-M-FOCUSS's regularization) still use the true ``M``.
+itself, which :meth:`MmvProblem.from_received_pilot` forms with
+:func:`~gfdetect.detect.sample_covariance`, where the pilot block is checked.
+Every iterate the other two form is ``C Y`` for some matrix ``C``, and they
+read those iterates only through row norms, residual norms and Frobenius
+norms of differences. So the problem also keeps only an ``L x min(L, M)``
+factor ``F`` with ``F F^H = Y Y^H``: ``Y`` itself for ``M <= L``, and
+otherwise ``F = R^H`` of the QR decomposition ``Y_p = Q R``. Since
+``Y = F Q^H`` and ``Q`` has orthonormal columns, right-multiplying by ``Q^H``
+keeps all those norms, so the supports are those of the full observation at
+an ``L x L`` instead of ``L x M`` cost per step. M-FOCUSS's regularization,
+which scales with the snapshot count, still uses the true ``M``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import extract_support
+from .detect import extract_support, sample_covariance
 from .errors import InvalidParameterError
 from .model import Support
 
@@ -64,8 +65,13 @@ _FOCUSS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """``Y = S X + W`` held as the factor ``F`` of its ``M`` snapshots (module docstring)."""
+    """``Y = S X + W`` held as its sample covariance and the factor of its ``M`` snapshots.
 
+    ``R_hat`` is :func:`~gfdetect.detect.sample_covariance` of the pilot
+    block and ``F`` its snapshot factor (module docstring).
+    """
+
+    R_hat: np.ndarray
     F: np.ndarray
     S: np.ndarray
     sigma_w2: float
@@ -73,20 +79,24 @@ class MmvProblem:
 
     @classmethod
     def from_received_pilot(cls, Y_p: np.ndarray, S: np.ndarray, sigma_w2: float) -> "MmvProblem":
-        """Check the ``M x L`` pilot block, its ``L x K`` code and noise variance; factor the block."""
+        """Form ``R_hat`` of the ``M x L`` pilot block, which checks the block, and factor it.
+
+        The code must be a finite ``L x K`` matrix with ``K >= 1``, and the
+        noise variance finite and nonnegative.
+        """
+        R_hat = sample_covariance(Y_p)
         Y_p = np.asarray(Y_p)
         S = np.asarray(S)
-        if Y_p.ndim != 2 or Y_p.size == 0:
-            raise InvalidParameterError(f"observation must be a nonempty matrix, got {Y_p.shape}")
-        if S.ndim != 2 or S.shape[0] != Y_p.shape[1]:
+        if S.ndim != 2 or S.shape[0] != Y_p.shape[1] or S.shape[1] < 1:
             raise InvalidParameterError(
-                f"pilot rows ({S.shape}) must match the observation's pilot length ({Y_p.shape})"
+                f"pilot code ({S.shape}) must have columns, and rows matching the "
+                f"observation's pilot length ({Y_p.shape})"
             )
-        if not (np.all(np.isfinite(Y_p)) and np.all(np.isfinite(S))):
-            raise InvalidParameterError("observation and pilot code must be finite")
+        if not np.all(np.isfinite(S)):
+            raise InvalidParameterError("pilot code must be finite")
         if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
             raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
-        return cls(_snapshot_factor(Y_p), S, sigma_w2, Y_p.shape[0])
+        return cls(R_hat, _snapshot_factor(Y_p), S, sigma_w2, Y_p.shape[0])
 
 
 def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
@@ -97,12 +107,12 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     update ``gamma_k = mean_m |mu_km|^2 + Sigma_kk``. The noise variance is
     held fixed at the problem's true value.
 
-    MSBL reads the observation only through the sample covariance
-    ``R_hat = F F^H / M`` of the snapshot factor ``F`` (module docstring). With
-    ``G = inv(Sigma_y)`` of ``Sigma_y = sigma^2 I + S Gamma S^H``, the two terms
-    of the update sum to ``gamma_k + gamma_k^2 Re(s_k^H E s_k)`` with
-    ``E = G (R_hat - Sigma_y) G``, and ``-Re(s_k^H E s_k)`` is the derivative in
-    ``gamma_k`` of the covariance likelihood ``log det Sigma_y + tr(G R_hat)``.
+    MSBL reads the observation only through the problem's sample covariance
+    ``R_hat`` (module docstring). With ``G = inv(Sigma_y)`` of
+    ``Sigma_y = sigma^2 I + S Gamma S^H``, the two terms of the update sum to
+    ``gamma_k + gamma_k^2 Re(s_k^H E s_k)`` with ``E = G (R_hat - Sigma_y) G``,
+    and ``-Re(s_k^H E s_k)`` is the derivative in ``gamma_k`` of the
+    covariance likelihood ``log det Sigma_y + tr(G R_hat)``.
     So each step is ``gamma += gamma^2 * Re diag(S^H E S)``: one inverse and
     no ``K x L`` block. An exactly singular ``Sigma_y`` raises ``LinAlgError``.
 
@@ -114,9 +124,7 @@ def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
     S = problem.S
     L, K = S.shape
     sigma2 = max(problem.sigma_w2, 1e-12)
-
-    # F has min(L, M) columns; the covariance is over all M snapshots
-    R_hat = problem.F @ problem.F.conj().T / problem.M
+    R_hat = problem.R_hat
     S_conj = S.conj()
     noise = sigma2 * np.eye(L)
     gamma = np.ones(K)

@@ -56,11 +56,15 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
     """Average of per-antenna outer products: ``Y_p^H Y_p / M``.
 
     ``Y_p`` is the ``M x L`` received pilot block; the result is ``L x L``
-    Hermitian positive semidefinite.
+    Hermitian positive semidefinite. This is where every detector's pilot
+    block is checked: one that is not a nonempty finite matrix is rejected
+    before the product.
     """
     Y = np.asarray(Y_p)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise InvalidParameterError(f"observation must be a nonempty matrix, got {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise InvalidParameterError("observation must be finite")
     M = Y.shape[0]
     return Y.conj().T @ Y / M
 
@@ -84,19 +88,21 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker lift of the
     ``L x K`` pilot code ``S`` and ``x = vec(phi_yy) - sigma_w2 * vec(I)``;
     the noise variance is assumed known, so only its mean is removed.
-    A code whose Gram ``|S^H S|^2`` or step constant is not finite is
-    rejected before it is lifted. Every ``A`` returned is read-only and
-    memoized with that Gram and step: a call whose code has the same values
-    as the previous call's returns the same ``A`` object, without rebuilding it.
+    A code with no columns, or whose Gram ``|S^H S|^2`` or step constant is
+    not finite, is rejected before it is lifted. Every ``A`` returned is
+    read-only and memoized with that Gram and step: a call whose code has the
+    same values as the previous call's returns the same ``A`` object, without
+    rebuilding it.
     """
     global _memo
     phi = np.asarray(phi_yy)
     S = np.asarray(S)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise InvalidParameterError(f"covariance must be square, got {phi.shape}")
-    if S.ndim != 2 or S.shape[0] != phi.shape[0]:
+    if S.ndim != 2 or S.shape[0] != phi.shape[0] or S.shape[1] < 1:
         raise InvalidParameterError(
-            f"pilot rows ({S.shape}) must match covariance size ({phi.shape})"
+            f"pilot code ({S.shape}) must have columns, and rows matching "
+            f"covariance size ({phi.shape})"
         )
     if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
         raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
@@ -117,6 +123,15 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     L = phi.shape[0]
     x = phi.ravel(order="F") - sigma_w2 * np.eye(L).ravel()
     return memo.lift, x
+
+
+def _smv_arrays(A: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` as an array and ``x`` as a vector, checked to form ``A r = x`` for some ``r``."""
+    A = np.asarray(A)
+    x = np.asarray(x).ravel()
+    if A.ndim != 2 or A.shape[0] != x.size or A.shape[1] < 1:
+        raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
+    return A, x
 
 
 def _adjoint_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -218,11 +233,8 @@ def nn_lasso(
     of ``G`` non-finite; :func:`build_smv` rejects such a code before lifting
     it. The result holds the final iterate, not the objective's path.
     """
-    A = np.asarray(A)
-    x = np.asarray(x).ravel()
+    A, x = _smv_arrays(A, x)
     memo = _memo if _memo is not None and A is _memo.lift else None
-    if A.ndim != 2 or A.shape[0] != x.size or A.shape[1] < 1:
-        raise InvalidParameterError(f"incompatible shapes A={A.shape}, x={x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("x must be finite")
     if lam is not None and (lam < 0 or not math.isfinite(lam)):
@@ -310,11 +322,15 @@ def kkt_residual(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float) -> flo
 
     For coordinates with ``r > 0`` the stationarity residual
     ``Re(a_k^H (A r - x)) + lam`` must vanish; for zero coordinates it must
-    be nonnegative. Returns the maximum violation magnitude.
+    be nonnegative. Returns the maximum violation magnitude. Shapes are
+    checked as :func:`nn_lasso` checks them, and ``r`` must hold one entry
+    per column of ``A``.
     """
-    A = np.asarray(A)
+    A, x = _smv_arrays(A, x)
     r = np.asarray(r, dtype=float)
-    g = _adjoint_product(A, A @ r - np.asarray(x).ravel()).real + lam
+    if r.shape != (A.shape[1],):
+        raise InvalidParameterError(f"r must have shape ({A.shape[1]},), got {r.shape}")
+    g = _adjoint_product(A, A @ r - x).real + lam
     positive = r > 0
     worst = 0.0
     if np.any(positive):

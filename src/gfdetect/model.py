@@ -138,9 +138,10 @@ def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Genera
     """Geometric multipath ``M x K`` channel on a uniform linear array.
 
     Each active column superposes ``paths`` planar wavefronts with standard
-    complex Gaussian gains and arrival angles uniform on [-pi/2, pi/2]; the
-    1/sqrt(paths) normalization keeps the per-entry power at one. With many
-    paths the columns are well approximated by the Gaussian model.
+    complex Gaussian gains and arrival angles uniform on [0, pi], the whole
+    field a linear array resolves (:func:`steering_vector` reads ``cos theta``);
+    the 1/sqrt(paths) normalization keeps the per-entry power at one. With
+    many paths the columns are well approximated by the Gaussian model.
     """
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
@@ -149,7 +150,7 @@ def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Genera
     H = np.zeros((M, support.K), dtype=complex)
     for k in support.indices:
         gains = complex_normal(rng, paths)
-        thetas = rng.uniform(-np.pi / 2, np.pi / 2, paths)
+        thetas = rng.uniform(0.0, np.pi, paths)
         H[:, k] = steering_vector(M, thetas) @ gains / math.sqrt(paths)
     return H
 

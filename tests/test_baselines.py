@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gfdetect.baselines import (
     mfocuss,
     msbl,
 )
-from gfdetect.detect import extract_support
+from gfdetect.detect import detect_activity, extract_support
 from gfdetect.errors import InvalidParameterError
 from gfdetect.harness import ExperimentConfig, run_trial
 from gfdetect.model import (
@@ -158,11 +159,11 @@ class TestSharedBehavior:
         with pytest.raises(InvalidParameterError):
             MmvProblem.from_received_pilot(np.zeros((4, 20), complex), S, -0.1)
 
-    @pytest.mark.parametrize("case", ["nan-variance", "inf-variance", "nan-block", "nan-code",
-                                      "empty-block"])
+    @pytest.mark.parametrize("case", ["nan-variance", "inf-variance", "nan-block", "inf-block",
+                                      "nan-code", "empty-block", "no-columns"])
     def test_rejects_what_detect_activity_rejects(self, case, capfd):
         # past this check the solvers would return a support for each of these,
-        # or raise from LAPACK with a message on stderr
+        # raise from numpy or LAPACK, or warn from the covariance product
         rng = derive_rng(13, 23)
         S = gen_gaussian_dictionary(8, 16, rng)
         Y_p = complex_normal(rng, (32, 8))
@@ -173,12 +174,20 @@ class TestSharedBehavior:
             sigma_w2 = float("inf")
         elif case == "nan-block":
             Y_p[3, 5] = np.nan
+        elif case == "inf-block":
+            Y_p[3, 5] = np.inf
         elif case == "nan-code":
             S[2, 7] = np.nan
+        elif case == "no-columns":
+            S = S[:, :0]
         else:
             Y_p = Y_p[:0]
-        with pytest.raises(InvalidParameterError):
-            MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError):
+                MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
+            with pytest.raises(InvalidParameterError):
+                detect_activity(Y_p, S, sigma_w2)
         assert capfd.readouterr().err == ""
 
 
@@ -467,7 +476,7 @@ def _msbl_gamma_reference(problem):
     S = problem.S
     L, K = S.shape
     sigma2 = max(problem.sigma_w2, 1e-12)
-    R_hat = problem.F @ problem.F.conj().T / problem.M
+    R_hat = problem.R_hat
     S_conj = S.conj()
     noise = sigma2 * np.eye(L)
     gamma = np.ones(K)

@@ -184,6 +184,15 @@ class TestNnLasso:
             res = nn_lasso(A, x, lam=lam, max_iterations=20000, objective_tolerance=0.0)
             assert kkt_residual(A, x, res.r_hat, lam) < 1e-4
 
+    @pytest.mark.parametrize("x_shape, r_size", [((1,), 3), ((), 3), ((6,), 2)],
+                             ids=["length-1-x", "scalar-x", "short-r"])
+    def test_kkt_residual_rejects_mismatched_shapes(self, x_shape, r_size):
+        # a 1-entry x would broadcast against A @ r, and a short r fail inside numpy
+        rng = derive_rng(8)
+        A = complex_normal(rng, (6, 3))
+        with pytest.raises(InvalidParameterError):
+            kkt_residual(A, complex_normal(rng, x_shape), np.ones(r_size), 0.1)
+
     @pytest.mark.parametrize(
         "bad",
         [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, np.nan)],

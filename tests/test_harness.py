@@ -160,6 +160,55 @@ PINNED_LINK_ROWS = {
 }
 
 
+# (axis, detector, success_rate, ser, channel_mse) at K=32 L=12 M=64 D=4 N=8
+# detector=all,pai,paci trials=6 seed=3 for three settings no preset runs:
+# Bernoulli activity, a threshold support and the ULA multipath channel
+PINNED_OFF_PRESET_ROWS = {
+    "bernoulli-activity": (dict(activity_prob="0.15", sweep="snr:0,10"), [
+        (0.0, "cov-lasso", 1.0, 0.0679563492063492, 8.41289722416314),
+        (0.0, "msbl", 0.8333333333333334, 0.13306051587301587, 7.139256084839839),
+        (0.0, "bomp", 0.6666666666666666, 0.27584741647241645, 6.353432046861311),
+        (0.0, "mfocuss", 0.8333333333333334, 0.13306051587301587, 7.139256084839839),
+        (0.0, "pai", 1.0, 0.0679563492063492, 8.41289722416314),
+        (0.0, "paci", 1.0, 0.0, 0.0),
+        (10.0, "cov-lasso", 1.0, 0.0, 1.2913348376036582),
+        (10.0, "msbl", 1.0, 0.0, 1.2913348376036582),
+        (10.0, "bomp", 0.6666666666666666, 0.17613636363636362, 2.456458049171444),
+        (10.0, "mfocuss", 1.0, 0.0, 1.2913348376036582),
+        (10.0, "pai", 1.0, 0.0, 1.2913348376036582),
+        (10.0, "paci", 1.0, 0.0, 0.0),
+    ]),
+    "threshold-support": (dict(known_sparsity="false", sweep="sparsity:2,6"), [
+        (2.0, "cov-lasso", 0.16666666666666666, 0.47962962962962963, 3.2961135025602926),
+        (2.0, "msbl", 1.0, 0.0, 2.042833862486274),
+        (2.0, "bomp", 1.0, 0.0, 2.042833862486274),
+        (2.0, "mfocuss", 1.0, 0.0, 2.042833862486274),
+        (2.0, "pai", 1.0, 0.0, 2.042833862486274),
+        (2.0, "paci", 1.0, 0.0, 0.0),
+        (6.0, "cov-lasso", 0.3333333333333333, 0.23900462962962962, 13.45829717898119),
+        (6.0, "msbl", 0.3333333333333333, 0.16319444444444445, 8.921269947787225),
+        (6.0, "bomp", 0.0, 0.5353009259259259, 8.481343415949445),
+        (6.0, "mfocuss", 0.6666666666666666, 0.10763888888888888, 9.07041806078034),
+        (6.0, "pai", 1.0, 0.05555555555555555, 9.659381807696457),
+        (6.0, "paci", 1.0, 0.0, 0.0),
+    ]),
+    "ula-channel": (dict(channel="ula", paths="5", sweep="snr:0,10"), [
+        (0.0, "cov-lasso", 1.0, 0.09375, 6.098579922408202),
+        (0.0, "msbl", 0.5, 0.21875, 4.981545815615788),
+        (0.0, "bomp", 0.0, 0.4854166666666666, 4.519929271847848),
+        (0.0, "mfocuss", 0.5, 0.21354166666666666, 4.827142560969436),
+        (0.0, "pai", 1.0, 0.09375, 6.098579922408202),
+        (0.0, "paci", 1.0, 0.0, 0.0),
+        (10.0, "cov-lasso", 1.0, 0.0, 0.5555699019104662),
+        (10.0, "msbl", 0.3333333333333333, 0.20833333333333334, 1.1874145941600986),
+        (10.0, "bomp", 0.8333333333333334, 0.06666666666666667, 0.685894245181597),
+        (10.0, "mfocuss", 0.3333333333333333, 0.16666666666666666, 1.0544290300508994),
+        (10.0, "pai", 1.0, 0.0, 0.5555699019104662),
+        (10.0, "paci", 1.0, 0.0, 0.0),
+    ]),
+}
+
+
 class TestConfigValidation:
     def test_defaults_follow_reference_setup(self):
         c = ExperimentConfig()
@@ -483,6 +532,16 @@ class TestRunSweep:
         cfg = dataclasses.replace(ExperimentConfig(**PRESETS[preset]), trials=3, seed=1)
         rows = [(r.axis, r.detector, r.success_rate, r.ser, r.channel_mse) for r in run_sweep(cfg)]
         assert rows == PINNED_LINK_ROWS[preset]
+
+    @pytest.mark.parametrize("setting", sorted(PINNED_OFF_PRESET_ROWS))
+    def test_pinned_off_preset_rows(self, setting):
+        settings, pinned = PINNED_OFF_PRESET_ROWS[setting]
+        cfg = apply_settings(ExperimentConfig(), dict(
+            K="32", L="12", M="64", D="4", N="8", detector="all,pai,paci", trials="6", seed="3",
+            **settings,
+        ))
+        rows = [(r.axis, r.detector, r.success_rate, r.ser, r.channel_mse) for r in run_sweep(cfg)]
+        assert rows == pinned
 
     def test_single_node_gives_no_bound(self):
         # one pilot column has no coherence, so the floor is undefined

@@ -124,6 +124,13 @@ class TestUlaChannel:
             total += np.mean(np.abs(H[:, 0]) ** 2)
         assert abs(total / draws - 1.0) < 0.05
 
+    def test_arrival_angles_cover_both_halves_of_the_field(self):
+        # one path per column: the phase step between adjacent antennas is
+        # -pi cos(theta), positive for half of the angles in [0, pi]
+        H = draw_channel_ula(2, 1, Support(tuple(range(2000)), 2000), derive_rng(7))
+        steps = np.angle(H[1] * H[0].conj())
+        assert abs(np.mean(steps > 0) - 0.5) < 0.05
+
     def test_rejects_bad_paths(self):
         with pytest.raises(InvalidParameterError):
             draw_channel_ula(8, 0, Support((0,), 2), derive_rng(0))
