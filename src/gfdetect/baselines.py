@@ -19,18 +19,20 @@ multiple-measurement observation ``Y = Y_p^H`` of the ``M x L`` pilot block
 
 All three are deterministic given their inputs.
 
-Each solver depends on ``Y`` only through ``Y Y^H``. MSBL reads ``R_hat``
-itself, which :meth:`MmvProblem.from_received_pilot` forms with
+Each solver depends on ``Y`` only through ``Y Y^H = M R_hat``, so the problem
+holds only the sample covariance ``R_hat``, which
+:meth:`MmvProblem.from_received_pilot` forms with
 :func:`~gfdetect.detect.sample_covariance`, where the pilot block is checked.
-Every iterate the other two form is ``C Y`` for some matrix ``C``, and they
-read those iterates only through row norms, residual norms and Frobenius
-norms of differences. So the problem also keeps only an ``L x min(L, M)``
-factor ``F`` with ``F F^H = Y Y^H``: ``Y`` itself for ``M <= L``, and
-otherwise ``F = R^H`` of the QR decomposition ``Y_p = Q R``. Since
-``Y = F Q^H`` and ``Q`` has orthonormal columns, right-multiplying by ``Q^H``
-keeps all those norms, so the supports are those of the full observation at
-an ``L x L`` instead of ``L x M`` cost per step. M-FOCUSS's regularization,
-which scales with the snapshot count, still uses the true ``M``.
+MSBL reads ``R_hat`` itself. Every iterate the other two form is ``C Y`` for
+some matrix ``C``, and they read those iterates only through row norms,
+residual norms and Frobenius norms of differences, each a function of
+``C Y Y^H C^H``. So any ``F`` with ``F F^H = M R_hat`` gives the supports of
+the full observation in place of ``Y``: :func:`_snapshot_factor` takes
+``F = V sqrt(w)`` from the eigendecomposition ``M R_hat = V diag(w) V^H``,
+dropping the eigenvalues at rounding level, so ``F`` has at most
+``min(L, M)`` columns and each step costs ``L x L`` instead of ``L x M``.
+M-FOCUSS's regularization, which scales with the snapshot count, still uses
+the true ``M``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import extract_support, sample_covariance
+from .detect import _checked_code, extract_support, sample_covariance
 from .errors import InvalidParameterError
 from .model import Support
 
@@ -65,38 +67,30 @@ _FOCUSS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """``Y = S X + W`` held as its sample covariance and the factor of its ``M`` snapshots.
+    """``Y = S X + W`` held as the sample covariance of its ``M`` snapshots.
 
     ``R_hat`` is :func:`~gfdetect.detect.sample_covariance` of the pilot
-    block and ``F`` its snapshot factor (module docstring).
+    block; the solvers read the block only through it (module docstring).
     """
 
     R_hat: np.ndarray
-    F: np.ndarray
     S: np.ndarray
     sigma_w2: float
     M: int
 
     @classmethod
     def from_received_pilot(cls, Y_p: np.ndarray, S: np.ndarray, sigma_w2: float) -> "MmvProblem":
-        """Form ``R_hat`` of the ``M x L`` pilot block, which checks the block, and factor it.
+        """Form ``R_hat`` of the ``M x L`` pilot block, which checks the block.
 
         The code must be a finite ``L x K`` matrix with ``K >= 1``, and the
-        noise variance finite and nonnegative.
+        noise variance finite and nonnegative, as for
+        :func:`~gfdetect.detect.build_smv`.
         """
         R_hat = sample_covariance(Y_p)
-        Y_p = np.asarray(Y_p)
-        S = np.asarray(S)
-        if S.ndim != 2 or S.shape[0] != Y_p.shape[1] or S.shape[1] < 1:
-            raise InvalidParameterError(
-                f"pilot code ({S.shape}) must have columns, and rows matching the "
-                f"observation's pilot length ({Y_p.shape})"
-            )
+        S = _checked_code(S, R_hat.shape[0], sigma_w2)
         if not np.all(np.isfinite(S)):
             raise InvalidParameterError("pilot code must be finite")
-        if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
-            raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
-        return cls(R_hat, _snapshot_factor(Y_p), S, sigma_w2, Y_p.shape[0])
+        return cls(R_hat, S, sigma_w2, np.shape(Y_p)[0])
 
 
 def msbl(problem: MmvProblem, D_known: int | None = None) -> Support:
@@ -164,10 +158,10 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     search stops there and returns fewer than ``D`` nodes.
     """
     S = problem.S
-    F = problem.F
     K = S.shape[1]
     if not 0 <= D <= K:
         raise InvalidParameterError(f"D must be in [0, {K}], got {D}")
+    F = _snapshot_factor(problem.R_hat, problem.M)
 
     S_H = S.conj().T
     residual = F
@@ -201,7 +195,7 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     :func:`~gfdetect.detect.extract_support`).
     """
     S = problem.S
-    F = problem.F
+    F = _snapshot_factor(problem.R_hat, problem.M)
     L = S.shape[0]
     lam = problem.sigma_w2 * math.sqrt(problem.M)
 
@@ -227,12 +221,16 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     return extract_support(final_norms, D_known, _FOCUSS_PRUNE_TOLERANCE)
 
 
-def _snapshot_factor(Y_p: np.ndarray) -> np.ndarray:
-    """Return ``F`` with ``F F^H = Y_p^H Y_p`` and ``min(L, M)`` columns (module docstring)."""
-    M, L = Y_p.shape
-    if M <= L:
-        return Y_p.conj().T
-    return np.linalg.qr(Y_p, mode="r").conj().T
+def _snapshot_factor(R_hat: np.ndarray, M: int) -> np.ndarray:
+    """Return ``F`` with ``F F^H = M R_hat``, one column per eigenvalue above rounding.
+
+    Eigenvalues at most ``16 L eps`` times the largest are the rounding of a
+    rank-deficient ``R_hat`` (a noiseless block with ``D < L``): dropping
+    them keeps block-OMP's zero-residual stop. ``R_hat = 0`` gives no columns.
+    """
+    w, V = np.linalg.eigh(M * R_hat)
+    keep = w > 16 * w.size * np.finfo(float).eps * w[-1]
+    return V[:, keep] * np.sqrt(w[keep])
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:

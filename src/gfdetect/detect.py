@@ -69,6 +69,20 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
     return Y.conj().T @ Y / M
 
 
+def _checked_code(S: np.ndarray, L: int, sigma_w2: float) -> np.ndarray:
+    """``S`` as an ``L x K`` array with ``K >= 1``, checked with a finite, nonnegative ``sigma_w2``.
+
+    Whether the code is finite is left to the caller."""
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[0] != L or S.shape[1] < 1:
+        raise InvalidParameterError(
+            f"pilot code ({S.shape}) must have columns, and {L} rows to match the observation"
+        )
+    if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
+    return S
+
+
 @dataclass(frozen=True)
 class _LiftMemo:
     """The last pilot code's lift with the solver setup that depends only on it."""
@@ -96,16 +110,9 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     """
     global _memo
     phi = np.asarray(phi_yy)
-    S = np.asarray(S)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise InvalidParameterError(f"covariance must be square, got {phi.shape}")
-    if S.ndim != 2 or S.shape[0] != phi.shape[0] or S.shape[1] < 1:
-        raise InvalidParameterError(
-            f"pilot code ({S.shape}) must have columns, and rows matching "
-            f"covariance size ({phi.shape})"
-        )
-    if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
-        raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
+    S = _checked_code(S, phi.shape[0], sigma_w2)
     memo = _memo
     if memo is None or not np.array_equal(memo.code, S):
         _memo = memo = None  # drop the old lift first, so two are never alive at once

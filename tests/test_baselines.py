@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfdetect import baselines, harness
@@ -16,7 +16,7 @@ from gfdetect.baselines import (
     mfocuss,
     msbl,
 )
-from gfdetect.detect import detect_activity, extract_support
+from gfdetect.detect import detect_activity, extract_support, sample_covariance
 from gfdetect.errors import InvalidParameterError
 from gfdetect.harness import ExperimentConfig, run_trial
 from gfdetect.model import (
@@ -336,15 +336,93 @@ def test_all_snr_knife_edge_trial_keeps_its_support(monkeypatch):
     assert supports[3].indices == ALL_SNR_0DB_TRIAL_3_SUPPORT
 
 
-@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(0, 40))
-def test_snapshot_factor_keeps_the_gram(seed, L, M):
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 12), M=st.integers(1, 40),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_snapshot_factor_keeps_the_gram(seed, L, M, scale):
     rng = derive_rng(seed, 25)
-    Y_p = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
-    Y_p *= rng.choice([1e-6, 1.0, 1e6])
-    F = _snapshot_factor(Y_p)
-    assert F.shape == (L, min(L, M))
-    gram = Y_p.conj().T @ Y_p
-    assert np.linalg.norm(F @ F.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
+    Y_p = scale * (rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+    R_hat = sample_covariance(Y_p)
+    F = _snapshot_factor(R_hat, M)
+    assert F.shape[0] == L and F.shape[1] <= min(L, M)
+    assert np.linalg.norm(F @ F.conj().T - M * R_hat) <= 1e-12 * np.linalg.norm(M * R_hat)
+
+
+def test_zero_covariance_has_an_empty_factor_and_support():
+    # a noiseless block from nobody: R_hat = 0, so no eigenvalue clears the threshold
+    rng = derive_rng(0, 25)
+    S = gen_gaussian_dictionary(8, 24, rng)
+    Y_p = received_pilot(draw_channel_gaussian(40, draw_support(24, rng, size=0), rng), S, 0.0, rng)
+    problem = MmvProblem.from_received_pilot(Y_p, S, 0.0)
+    assert not problem.R_hat.any()
+    assert _snapshot_factor(problem.R_hat, problem.M).shape == (8, 0)
+    assert bomp(problem, 3).indices == ()
+    assert mfocuss(problem).indices == ()
+
+
+# (seed, D, M, K, L) -> bomp(P, D + 2) on a noiseless block with D < L: the refit
+# is exact after the D true picks, so the zero-residual stop returns them alone;
+# captured with the QR factor of the M x L block (commit 4222599)
+PINNED_NOISELESS_BOMP = [
+    ((40, 3, 128, 64, 20), (5, 11, 45)),
+    ((41, 10, 128, 64, 20), (0, 10, 15, 16, 24, 32, 33, 36, 42, 48)),
+    ((44, 6, 2000, 64, 20), (2, 19, 40, 46, 50, 57)),
+    ((48, 4, 64, 32, 8), (1, 8, 9, 26)),
+    ((50, 12, 256, 100, 30), (3, 4, 10, 13, 35, 37, 41, 45, 48, 54, 58, 83)),
+    ((52, 5, 12, 40, 12), (15, 18, 31, 32, 34)),
+    # M < L
+    ((43, 5, 8, 64, 20), (9, 23, 35, 39, 41)),
+    ((47, 10, 8, 64, 20), (3, 19, 21, 24, 28, 29, 34, 44, 45, 46)),
+    ((51, 1, 3, 12, 4), (2,)),
+]
+
+
+@pytest.mark.parametrize("case, bomp_sup", PINNED_NOISELESS_BOMP,
+                         ids=[f"seed{case[0]}" for case, _ in PINNED_NOISELESS_BOMP])
+def test_noiseless_bomp_stops_at_the_zero_residual(case, bomp_sup):
+    seed, D, M, K, L = case
+    problem, sup = make_problem(seed, D, None, M=M, K=K, L=L)
+    assert bomp(problem, D + 2).indices == bomp_sup == sup.indices
+
+
+def _qr_or_block_factor(Y_p):
+    """The factor the solvers used to take: ``Y_p^H`` for ``M <= L``, else ``R^H`` of ``Y_p = Q R``."""
+    M, L = Y_p.shape
+    if M <= L:
+        return Y_p.conj().T
+    return np.linalg.qr(Y_p, mode="r").conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 12),
+    extra_K=st.integers(0, 30),
+    M=st.integers(1, 40),
+    data=st.data(),
+    snr_db=st.one_of(st.none(), st.floats(-10.0, 30.0)),
+    spread=st.booleans(),
+)
+def test_eigh_factor_gives_the_supports_of_the_qr_factor(seed, L, extra_K, M, data, snr_db, spread):
+    # both are factors of M R_hat, and the two solvers read a factor only through F F^H;
+    # at L = 1 unit-norm columns all score alike, so there rounding decides every pick,
+    # and the column norms are spread instead
+    assume(L > 1 or spread)
+    K = L + extra_K
+    D = data.draw(st.integers(0, K), label="D")
+    rng = derive_rng(seed, 31)
+    S = gen_gaussian_dictionary(L, K, rng)
+    if spread:
+        S = S * rng.uniform(0.5, 2.0, K)
+    H = draw_channel_gaussian(M, draw_support(K, rng, size=D), rng)
+    sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
+    Y_p = received_pilot(H, S, sigma_w2, rng)
+    problem = MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the inner system's bump, if any
+        supports = bomp(problem, D), mfocuss(problem)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_snapshot_factor", lambda R_hat, M: _qr_or_block_factor(Y_p))
+            assert (bomp(problem, D), mfocuss(problem)) == supports
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,12 +502,12 @@ def test_msbl_step_matches_the_solve_form(seed, L, extra_K, M, snr_db):
     K = L + extra_K
     rng = derive_rng(seed, 28)
     S = gen_gaussian_dictionary(L, K, rng)
-    F = _snapshot_factor(rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
+    Y_p = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
     gamma = rng.uniform(0.0, 2.0, K)
     gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
     sigma2 = noise_variance(snr_db)
-    new = _msbl_step(gamma, S, S.conj(), sigma2 * np.eye(L), F @ F.conj().T / M)
-    old = _msbl_step_by_solve(gamma, S, F, M, sigma2)
+    new = _msbl_step(gamma, S, S.conj(), sigma2 * np.eye(L), sample_covariance(Y_p))
+    old = _msbl_step_by_solve(gamma, S, Y_p.conj().T, M, sigma2)
     assert np.linalg.norm(new - old) <= 1e-9 * np.linalg.norm(old)
 
 
@@ -454,8 +532,7 @@ def test_msbl_step_is_a_scaled_likelihood_gradient_step(seed, L, extra_K, M, snr
     K = L + extra_K
     rng = derive_rng(seed, 29)
     S = gen_gaussian_dictionary(L, K, rng)
-    F = _snapshot_factor(rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
-    R_hat = F @ F.conj().T / M
+    R_hat = sample_covariance(rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L)))
     gamma = rng.uniform(0.0, 2.0, K)
     gamma[rng.random(K) < 0.3] = 0.0  # pruned rows
     sigma2 = noise_variance(snr_db)
