@@ -155,7 +155,9 @@ def bomp(problem: MmvProblem, D: int) -> Support:
     ``D = 0`` (nobody transmitted) gives the empty support. Once the
     residual is numerically zero, which takes at most ``rank(S) <= L``
     picks, any further pick would be decided by rounding noise, so the
-    search stops there and returns fewer than ``D`` nodes.
+    search stops there and returns fewer than ``D`` nodes. With ``L = 1``
+    and unit-norm columns every score is ``|s_k| ||R|| = ||R||``, so the
+    pick is a tie that rounding decides.
     """
     S = problem.S
     K = S.shape[1]
@@ -192,7 +194,9 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     Iteration stops after 200 steps or once the relative change falls below
     1e-6. The support is the ``D_known`` largest final row norms, or all
     above ``0.5`` times the largest (the rule of
-    :func:`~gfdetect.detect.extract_support`).
+    :func:`~gfdetect.detect.extract_support`). With ``L = 1`` and unit-norm
+    columns every row starts with the same norm, so the rows the reweighting
+    keeps are picked by rounding.
     """
     S = problem.S
     F = _snapshot_factor(problem.R_hat, problem.M)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +41,6 @@ from .model import (
     Support,
     derive_rng,
     draw_channel_gaussian,
-    draw_channel_ula,
     draw_support,
     noise_variance,
     received_data,
@@ -70,6 +70,7 @@ SWEEP_AXES = ("none", *_AXIS_FIELDS)  # "none" (unswept) first
 
 _PILOT_STREAM = 0x70494C4F  # stream key for the shared dictionary draw
 _NO_KEY = {"key": None}  # field metadata: no configuration key sets this field
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,6 @@ class ExperimentConfig:
     sweep_axis: str = field(default="none", metadata=_NO_KEY)  # set by the ``sweep`` key
     sweep_values: tuple[float, ...] = field(default=(), metadata=_NO_KEY)
     N: int = 40
-    channel: str = "gaussian"
-    paths: int = 200
     lam: float | None = None
     use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
     redraw_pilots: bool = True
@@ -119,10 +118,6 @@ class ExperimentConfig:
             raise ConfigError(f"N must be >= 0, got {self.N}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths}")
-        if self.channel not in ("gaussian", "ula"):
-            raise ConfigError(f"unknown channel model {self.channel!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
         if (self.sweep_axis != "none") != bool(self.sweep_values):
@@ -300,10 +295,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         support = draw_support(config.K, rng, prob=config.activity_prob)
     else:
         support = draw_support(config.K, rng, size=config.D)
-    if config.channel == "ula":
-        H = draw_channel_ula(config.M, config.paths, support, rng)
-    else:
-        H = draw_channel_gaussian(config.M, support, rng)
+    H = draw_channel_gaussian(config.M, support, rng)
     sigma_w2 = noise_variance(config.snr_db)
     active = list(support.indices)
     # the other columns of H are zero, so only the active ones enter H S^H and H X
@@ -339,18 +331,14 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
 def _point_bound(pc: ExperimentConfig) -> float | None:
     """Theoretical success floor for this point, when it is well defined.
 
-    Needs a fixed penalty, a shared pilot dictionary, the Gaussian channel
-    with unit variances and a fixed activity level. The rest of the floor's
-    domain (at least two pilot columns, ``D >= 1``, nonzero noise and a
-    coherence that admits ``D``) is checked by ``mutual_coherence`` and
-    :class:`theory.BoundInputs`; a point outside it gets ``None``.
+    Needs a fixed penalty, a shared pilot dictionary and a fixed activity
+    level; every trial's channels are Gaussian with unit variances. The rest
+    of the floor's domain (at least two pilot columns, ``D >= 1``, nonzero
+    noise and a coherence that admits ``D``) is checked by
+    ``mutual_coherence`` and :class:`theory.BoundInputs`; a point outside it
+    gets ``None``.
     """
-    if (
-        pc.lam is None
-        or pc.redraw_pilots
-        or pc.channel != "gaussian"
-        or pc.activity_prob is not None
-    ):
+    if pc.lam is None or pc.redraw_pilots or pc.activity_prob is not None:
         return None
     S = _shared_pilots(pc.L, pc.K, pc.seed)
     try:
@@ -373,7 +361,9 @@ def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
     """Run all sweep points and aggregate per-detector metric rows.
 
     With ``workers > 1`` one process pool runs the trials of every point.
-    A ``cov-lasso`` row carries the point's recovery floor wherever
+    Its workers are spawned with one BLAS thread each, so a script that
+    calls this with ``workers > 1`` needs the ``if __name__ == "__main__":``
+    guard. A ``cov-lasso`` row carries the point's recovery floor wherever
     :func:`_point_bound` defines it.
     """
     config.validate()
@@ -384,11 +374,25 @@ def run_sweep(config: ExperimentConfig) -> list[MetricsRow]:
         # imported here: the process-pool machinery adds about 30 ms to a cold
         # start (the CLI's included, on a 2-core host), and a one-process
         # sweep never uses it
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = max(1, len(configs) // (8 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(run_trial, configs, indices, chunksize=chunksize))
+        # a forked worker would inherit the parent's loaded BLAS with its
+        # threads; a spawned one loads its own, which reads these variables at
+        # load. Workers start as trials are submitted, so the variables stay
+        # set until the pool has shut down
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+        try:
+            with ProcessPoolExecutor(config.workers, multiprocessing.get_context("spawn")) as pool:
+                records = list(pool.map(run_trial, configs, indices, chunksize=chunksize))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
     else:
         records = list(map(run_trial, configs, indices))
     rows: list[MetricsRow] = []

@@ -20,15 +20,10 @@ __all__ = [
     "derive_rng",
     "complex_normal",
     "draw_support",
-    "steering_vector",
-    "draw_channel_ula",
     "draw_channel_gaussian",
     "received_pilot",
     "received_data",
 ]
-
-_HALF_WAVELENGTH = 0.5  # uniform-linear-array element spacing, in wavelengths
-
 
 def derive_rng(master_seed: int, *stream: int) -> np.random.Generator:
     """Build an independent generator keyed by ``(master_seed, *stream)``.
@@ -118,41 +113,6 @@ def draw_support(
             raise InvalidParameterError(f"prob must be in [0, 1], got {prob}")
         idx = np.flatnonzero(rng.random(K) < prob)
     return Support(tuple(int(i) for i in idx), K)
-
-
-def steering_vector(M: int, theta) -> np.ndarray:
-    """Half-wavelength uniform-linear-array response for arrival angle ``theta``.
-
-    Element ``m`` equals ``exp(-2j*pi*m*cos(theta)/2)`` (``theta`` in
-    radians). A scalar angle gives a length-``M`` vector; a 1-D array of
-    angles gives an ``M x len(theta)`` matrix, one column per angle.
-    """
-    if M < 1:
-        raise InvalidParameterError(f"M must be >= 1, got {M}")
-    phase = _HALF_WAVELENGTH * np.cos(np.asarray(theta, dtype=float))
-    antenna = np.arange(M).reshape((M,) + (1,) * phase.ndim)
-    return np.exp(-2j * np.pi * antenna * phase)
-
-
-def draw_channel_ula(M: int, paths: int, support: Support, rng: np.random.Generator) -> np.ndarray:
-    """Geometric multipath ``M x K`` channel on a uniform linear array.
-
-    Each active column superposes ``paths`` planar wavefronts with standard
-    complex Gaussian gains and arrival angles uniform on [0, pi], the whole
-    field a linear array resolves (:func:`steering_vector` reads ``cos theta``);
-    the 1/sqrt(paths) normalization keeps the per-entry power at one. With
-    many paths the columns are well approximated by the Gaussian model.
-    """
-    if M < 1:
-        raise InvalidParameterError(f"M must be >= 1, got {M}")
-    if paths < 1:
-        raise InvalidParameterError(f"paths must be >= 1, got {paths}")
-    H = np.zeros((M, support.K), dtype=complex)
-    for k in support.indices:
-        gains = complex_normal(rng, paths)
-        thetas = rng.uniform(0.0, np.pi, paths)
-        H[:, k] = steering_vector(M, thetas) @ gains / math.sqrt(paths)
-    return H
 
 
 def draw_channel_gaussian(

@@ -32,10 +32,8 @@ KEYS = {
     "seed": ("seed", "123", 123, "abc"),
     "workers": ("workers", "2", 2, "two"),
     "N": ("N", "8", 8, ""),
-    "paths": ("paths", "50", 50, "many"),
     "lam": ("lam", "0.3", 0.3, "big"),
     "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
-    "channel": ("channel", "ula", "ula", "rayleigh"),
     "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
     "redraw_pilots": ("redraw_pilots", "off", False, "2"),
 }
@@ -44,10 +42,10 @@ FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 
 FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
-    "sweep_axis", "sweep_values", "N", "channel", "paths", "lam",
+    "sweep_axis", "sweep_values", "N", "lam",
     "use_known_sparsity", "redraw_pilots", "workers", "stream",
 )
-INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N", "paths")
+INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N")
 FLOAT_KEYS = ("snr", "activity_prob", "lam")
 NULLABLE_KEYS = ("lam", "activity_prob")
 BOOL_KEYS = ("known_sparsity", "redraw_pilots")
@@ -88,11 +86,17 @@ def test_malformed_value_is_a_config_error(key):
 
 @pytest.mark.parametrize(
     "name", ["bogus", "snr_db", "max_iterations", "use_known_sparsity", "compute_bound",
-             "sweep_axis", "sweep_values", "stream"],
+             "sweep_axis", "sweep_values", "stream", "channel", "paths"],
 )
-def test_field_names_and_internal_fields_are_not_keys(name):
-    with pytest.raises(ConfigError):
-        apply_settings(ExperimentConfig(), {name: "1"})
+def test_field_names_and_internal_fields_are_not_keys(name, capsys):
+    # channel and paths set the few-path ULA channel model, which is deleted
+    value = {"channel": "ula", "paths": "5"}.get(name, "1")
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        apply_settings(ExperimentConfig(), {name: value})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--" + name.replace("_", "-"), value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""  # no trial ran
 
 
 def test_recovery_floor_has_no_switch(capsys):

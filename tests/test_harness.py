@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -161,8 +163,8 @@ PINNED_LINK_ROWS = {
 
 
 # (axis, detector, success_rate, ser, channel_mse) at K=32 L=12 M=64 D=4 N=8
-# detector=all,pai,paci trials=6 seed=3 for three settings no preset runs:
-# Bernoulli activity, a threshold support and the ULA multipath channel
+# detector=all,pai,paci trials=6 seed=3 for two settings no preset runs:
+# Bernoulli activity and a threshold support
 PINNED_OFF_PRESET_ROWS = {
     "bernoulli-activity": (dict(activity_prob="0.15", sweep="snr:0,10"), [
         (0.0, "cov-lasso", 1.0, 0.0679563492063492, 8.41289722416314),
@@ -191,20 +193,6 @@ PINNED_OFF_PRESET_ROWS = {
         (6.0, "mfocuss", 0.6666666666666666, 0.10763888888888888, 9.07041806078034),
         (6.0, "pai", 1.0, 0.05555555555555555, 9.659381807696457),
         (6.0, "paci", 1.0, 0.0, 0.0),
-    ]),
-    "ula-channel": (dict(channel="ula", paths="5", sweep="snr:0,10"), [
-        (0.0, "cov-lasso", 1.0, 0.09375, 6.098579922408202),
-        (0.0, "msbl", 0.5, 0.21875, 4.981545815615788),
-        (0.0, "bomp", 0.0, 0.4854166666666666, 4.519929271847848),
-        (0.0, "mfocuss", 0.5, 0.21354166666666666, 4.827142560969436),
-        (0.0, "pai", 1.0, 0.09375, 6.098579922408202),
-        (0.0, "paci", 1.0, 0.0, 0.0),
-        (10.0, "cov-lasso", 1.0, 0.0, 0.5555699019104662),
-        (10.0, "msbl", 0.3333333333333333, 0.20833333333333334, 1.1874145941600986),
-        (10.0, "bomp", 0.8333333333333334, 0.06666666666666667, 0.685894245181597),
-        (10.0, "mfocuss", 0.3333333333333333, 0.16666666666666666, 1.0544290300508994),
-        (10.0, "pai", 1.0, 0.0, 0.5555699019104662),
-        (10.0, "paci", 1.0, 0.0, 0.0),
     ]),
 }
 
@@ -299,9 +287,13 @@ class TestConfigFile:
         listed = re.search(r"Config keys: `([^`]*)`", readme).group(1).split()
         assert sorted(listed) == sorted(CONFIG_KEYS)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_settings(ExperimentConfig(), {"bogus": "1"})
+    def test_unknown_key_rejected(self, tmp_path):
+        # channel and paths set the few-path ULA channel model, which is deleted
+        path = tmp_path / "exp.cfg"
+        for line in ("bogus=1", "channel=ula", "paths=5"):
+            path.write_text(f"K=32\n{line}\n")
+            with pytest.raises(ConfigError, match="unknown configuration key"):
+                apply_settings(ExperimentConfig(), parse_config_file(path))
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -407,7 +399,7 @@ class TestRunSweep:
         ]
 
     def test_worker_pool_matches_sequential_on_a_shared_code(self):
-        # forked workers inherit the parent's lift memo
+        # spawned workers draw the shared code and build its lift afresh
         cfg = quick_config(redraw_pilots=False, sweep_axis="snr", sweep_values=(0.0, 10.0), trials=6,
                            detector="cov-lasso,msbl")
         seq = run_sweep(cfg)
@@ -415,6 +407,31 @@ class TestRunSweep:
         assert len(seq) == 4
         assert [dataclasses.replace(r, runtime_ms=0.0) for r in seq] == [
             dataclasses.replace(r, runtime_ms=0.0) for r in par
+        ]
+
+    def test_worker_pool_spawns_one_blas_thread_workers_and_cleans_up(self, monkeypatch):
+        def blas_threads():
+            return {name: os.environ.get(name) for name in harness._BLAS_THREAD_VARIABLES}
+
+        seen = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                seen.append((self._mp_context.get_start_method(), blas_threads()))
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = blas_threads()
+        cfg = quick_config(sweep_axis="snr", sweep_values=(0.0, 10.0), trials=4, detector="cov-lasso,bomp")
+        par = run_sweep(dataclasses.replace(cfg, workers=2))
+        assert seen == [("spawn", dict.fromkeys(before, "1"))]
+        assert multiprocessing.active_children() == []
+        assert blas_threads() == before
+        assert [dataclasses.replace(r, runtime_ms=0.0) for r in par] == [
+            dataclasses.replace(r, runtime_ms=0.0) for r in run_sweep(cfg)
         ]
 
     def test_shared_code_lifted_once_per_sweep(self, monkeypatch):
@@ -695,6 +712,23 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("axis,")
+
+    def test_console_worker_pool_prints_the_one_process_csv(self):
+        src = str(Path(gfdetect.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        tables = []
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gfdetect", "sweep", "--sweep", "snr:0,10", "--trials", "4",
+                 "--K", "16", "--L", "8", "--M", "16", "--D", "2", "--N", "4",
+                 "--detector", "cov-lasso,msbl,pai", "--workers", workers],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            rows = [line.split(",") for line in proc.stdout.splitlines()]
+            tables.append([row[:5] + row[6:] for row in rows])  # all but runtime_ms
+        assert len(tables[0]) == 7
+        assert tables[0] == tables[1]
 
 
 class TestOrderIndependence:

@@ -9,12 +9,10 @@ from gfdetect.model import (
     complex_normal,
     derive_rng,
     draw_channel_gaussian,
-    draw_channel_ula,
     draw_support,
     noise_variance,
     received_data,
     received_pilot,
-    steering_vector,
 )
 
 
@@ -67,73 +65,6 @@ class TestDrawSupport:
             draw_support(64, rng)
         with pytest.raises(InvalidParameterError):
             draw_support(64, rng, size=2, prob=0.5)
-
-
-class TestSteeringVector:
-    def test_broadside_all_ones(self):
-        a = steering_vector(4, np.pi / 2)
-        assert np.allclose(a, np.ones(4))
-
-    def test_endfire_two_elements(self):
-        # direct evaluation: second element exp(-j*pi*cos(0)) = -1
-        a = steering_vector(2, 0.0)
-        assert np.allclose(a, [1.0, -1.0])
-
-    def test_unit_modulus_and_leading_one(self):
-        rng = derive_rng(3)
-        for _ in range(10):
-            a = steering_vector(16, rng.uniform(-np.pi / 2, np.pi / 2))
-            assert a[0] == 1.0
-            assert np.allclose(np.abs(a), 1.0)
-
-    def test_rejects_empty_array(self):
-        with pytest.raises(InvalidParameterError):
-            steering_vector(0, 0.0)
-
-    def test_angle_array_gives_one_column_per_angle(self):
-        thetas = derive_rng(4).uniform(-np.pi / 2, np.pi / 2, 7)
-        A = steering_vector(16, thetas)
-        assert A.shape == (16, 7)
-        for j, theta in enumerate(thetas):
-            assert np.array_equal(A[:, j], steering_vector(16, theta))
-
-
-class TestUlaChannel:
-    def test_empty_support_gives_zero_matrix(self):
-        H = draw_channel_ula(8, 4, Support((), 5), derive_rng(0))
-        assert not H.any()
-
-    def test_single_path_constant_modulus(self):
-        H = draw_channel_ula(16, 1, Support((2,), 4), derive_rng(4))
-        col = H[:, 2]
-        assert np.allclose(np.abs(col), np.abs(col[0]))
-
-    def test_inactive_columns_zero(self):
-        H = draw_channel_ula(8, 200, Support((1, 3), 6), derive_rng(5))
-        inactive = [k for k in range(6) if k not in (1, 3)]
-        assert not H[:, inactive].any()
-
-    def test_unit_average_power(self):
-        # 1/sqrt(P) normalization keeps per-entry variance at one
-        rng = derive_rng(6)
-        support = Support((0,), 1)
-        total = 0.0
-        draws = 2000
-        for _ in range(draws):
-            H = draw_channel_ula(64, 200, support, rng)
-            total += np.mean(np.abs(H[:, 0]) ** 2)
-        assert abs(total / draws - 1.0) < 0.05
-
-    def test_arrival_angles_cover_both_halves_of_the_field(self):
-        # one path per column: the phase step between adjacent antennas is
-        # -pi cos(theta), positive for half of the angles in [0, pi]
-        H = draw_channel_ula(2, 1, Support(tuple(range(2000)), 2000), derive_rng(7))
-        steps = np.angle(H[1] * H[0].conj())
-        assert abs(np.mean(steps > 0) - 0.5) < 0.05
-
-    def test_rejects_bad_paths(self):
-        with pytest.raises(InvalidParameterError):
-            draw_channel_ula(8, 0, Support((0,), 2), derive_rng(0))
 
 
 class TestGaussianChannel:
@@ -221,14 +152,14 @@ class TestReceivedSignals:
         assert np.array_equal(Y_p, Y_d)
 
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 64), L=st.integers(1, 16),
-           K=st.integers(1, 48), data=st.data(), ula=st.booleans(),
+           K=st.integers(1, 48), data=st.data(),
            variance=st.sampled_from([0.0, 1e-3, 1.0]))
-    def test_active_columns_give_the_full_product(self, seed, M, L, K, data, ula, variance):
+    def test_active_columns_give_the_full_product(self, seed, M, L, K, data, variance):
         # the channel is zero off its support, so H S^H needs only the active columns
         D = data.draw(st.integers(0, K), label="D")
         rng = derive_rng(seed, 15)
         support = draw_support(K, rng, size=D)
-        H = draw_channel_ula(M, 3, support, rng) if ula else draw_channel_gaussian(M, support, rng)
+        H = draw_channel_gaussian(M, support, rng)
         S = complex_normal(rng, (L, K))
         active = list(support.indices)
         full_rng, active_rng = derive_rng(seed, 16), derive_rng(seed, 16)
