@@ -119,7 +119,11 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
         code = np.array(S, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # _step_constant rejects an overflow
             C = code.conj().T @ code
-            gram = C.real**2 + C.imag**2
+            re, im = C.real, C.imag
+            np.square(re, out=re)
+            np.square(im, out=im)
+            gram = re + im
+        del C, re, im  # only the real Gram is held while the code is lifted
         lip = _step_constant(gram)
         # every squared entry of lift column k is at most gram[k, k] = ||s_k||^4, so a
         # finite Gram means a finite lift

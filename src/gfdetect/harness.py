@@ -249,7 +249,7 @@ def _score(
     support: Support,
     support_hat: Support,
     runtime_ms: float,
-    H: np.ndarray,
+    H_active: np.ndarray,
     S: np.ndarray,
     Y_p: np.ndarray,
     Y_d: np.ndarray,
@@ -257,28 +257,31 @@ def _score(
 ) -> TrialMetrics:
     """Estimate/decode for one detected support and score it against truth.
 
-    The ``M x K`` estimate keeps zero columns for nodes that were not
-    estimated, so channel MSE over the true support charges a missed node its
-    full normalized power; SER runs over the union of true and detected
-    supports. A singular estimation or decoding step leaves zero estimates
-    and zero decisions rather than aborting the trial.
+    ``H_active`` is the ``M x D`` channel block of the true active nodes. Its
+    estimate holds each true node's estimate and is zero where the node was
+    missed, so channel MSE charges a missed node its full normalized power;
+    SER runs over the union of true and detected supports. The estimates are
+    placed before decoding, so a singular decoding step keeps them and a
+    singular estimation step leaves them zero; either leaves zero decisions
+    rather than aborting the trial.
     """
     detected = list(support_hat.indices)
-    H_hat = np.zeros_like(H)
+    shared = set(support.indices).intersection(detected)
+    true_found = [k in shared for k in support.indices]  # true nodes that were detected
+    detected_true = [k in shared for k in detected]  # detected nodes that are true
+    H_hat = np.zeros_like(H_active)
     est_symbols = np.zeros_like(true_symbols)
     try:
-        if name == "paci":
-            H_hat[:, detected] = H[:, detected]
-        else:
-            H_hat[:, detected] = ls_channel_estimate(Y_p, S[:, detected])
-        est_symbols[detected] = demodulate(ls_data_decode(Y_d, H_hat[:, detected]))
+        # the genie's support is the true one, so its estimate is the true block
+        H_detected = H_active if name == "paci" else ls_channel_estimate(Y_p, S[:, detected])
+        H_hat[:, true_found] = H_detected[:, detected_true]
+        est_symbols[detected] = demodulate(ls_data_decode(Y_d, H_detected))
     except SingularSystemError:
         pass
-    true_active = list(support.indices)
     return TrialMetrics(
         success=support_hat.indices == support.indices,
         ser=symbol_error_rate(true_symbols, est_symbols, support, support_hat),
-        channel_mse=channel_mse(H[:, true_active], H_hat[:, true_active]),
+        channel_mse=channel_mse(H_active, H_hat),
         runtime_ms=runtime_ms,
     )
 
@@ -295,11 +298,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         support = draw_support(config.K, rng, prob=config.activity_prob)
     else:
         support = draw_support(config.K, rng, size=config.D)
-    H = draw_channel_gaussian(config.M, support, rng)
-    sigma_w2 = noise_variance(config.snr_db)
     active = list(support.indices)
-    # the other columns of H are zero, so only the active ones enter H S^H and H X
-    H_active = H[:, active]
+    # the other channel columns are zero, so only the active ones enter H S^H and H X
+    H_active = draw_channel_gaussian(config.M, support, rng)[:, active]
+    sigma_w2 = noise_variance(config.snr_db)
     Y_p = received_pilot(H_active, S[:, active], sigma_w2, rng)
 
     # at N=0 these are empty blocks, whose draws leave the generator where it was
@@ -313,7 +315,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         start = time.perf_counter()
         support_hat = _run_detector(name, Y_p, S, sigma_w2, support, config)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        metrics[name] = _score(name, support, support_hat, runtime_ms, H, S, Y_p, Y_d, true_symbols)
+        metrics[name] = _score(name, support, support_hat, runtime_ms, H_active, S, Y_p, Y_d, true_symbols)
     return TrialRecord(metrics)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -651,11 +652,29 @@ def test_memo_gram_is_the_real_gram_of_its_lift(seed, L, K):
     A = build_smv(np.zeros((L, L)), S, 0.0)[0]
     memo = detect._memo
     assert memo.lift is A
+    C = memo.code.conj().T @ memo.code
+    assert np.array_equal(memo.gram, C.real**2 + C.imag**2)
     norms2 = np.linalg.norm(S, axis=0) ** 2
     ulps = 2 * (L + 2) * np.finfo(float).eps
     assert np.all(np.abs(memo.gram - (A.conj().T @ A).real) <= ulps * np.outer(norms2, norms2))
     top = np.linalg.eigvalsh(memo.gram)[-1]
     assert abs(memo.lip - top) <= 1e-10 * top
+
+
+def test_memo_miss_holds_at_most_the_two_grams_or_the_real_gram_and_the_lift():
+    L, K = 8, 512
+    S = gen_gaussian_dictionary(L, K, derive_rng(5, 37))
+    phi = np.zeros((L, L))
+    detect._memo = None
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build_smv(phi, S, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex Gram, the real Gram and the lift, in bytes
+    assert peak - start <= 16 * K * K + 8 * K * K + 16 * L * L * K
 
 
 def test_step_constant_is_exact_when_the_power_iteration_is_capped():

@@ -15,7 +15,7 @@ import pytest
 import gfdetect
 from gfdetect import detect, harness
 from gfdetect.cli import main
-from gfdetect.errors import ConfigError, InvalidParameterError
+from gfdetect.errors import ConfigError, InvalidParameterError, SingularSystemError
 from gfdetect.harness import (
     CONFIG_KEYS,
     PRESETS,
@@ -28,6 +28,7 @@ from gfdetect.harness import (
     run_sweep,
     run_trial,
 )
+from gfdetect.link import channel_mse, ls_channel_estimate
 from gfdetect.pilots import gen_gaussian_dictionary
 
 
@@ -374,6 +375,37 @@ class TestRunTrial:
             assert m.success and m.ser == 0.0
         assert 0.0 < rec.metrics["pai"].channel_mse < 3.0
         assert rec.metrics["paci"].channel_mse == 0.0
+
+    def test_singular_decode_charges_the_kept_estimates(self, monkeypatch):
+        seen = {}
+
+        def recording(name, fn):  # keeps each call's arguments and result
+            def wrapped(*args, **kwargs):
+                seen[name] = args, fn(*args, **kwargs)
+                return seen[name][1]
+            return wrapped
+
+        def singular_decode(Y_d, H_hat):
+            raise SingularSystemError("forced")
+
+        monkeypatch.setattr(harness, "draw_support", recording("support", harness.draw_support))
+        monkeypatch.setattr(harness, "draw_channel_gaussian", recording("H", harness.draw_channel_gaussian))
+        monkeypatch.setattr(harness, "detect_activity", recording("detection", harness.detect_activity))
+        monkeypatch.setattr(harness, "ls_channel_estimate", recording("estimate", harness.ls_channel_estimate))
+        monkeypatch.setattr(harness, "ls_data_decode", singular_decode)
+        # at -5 dB trial 2 detects [4, 11, 38] for the true [4, 11, 43]
+        m = run_trial(quick_config(snr_db=-5.0), 2).metrics["cov-lasso"]
+        true_active = list(seen["support"][1].indices)
+        detected = list(seen["detection"][1].support_hat.indices)
+        assert set(true_active) - set(detected) and set(detected) - set(true_active)
+        # the full-width estimate, zero outside the detected columns, read at the true ones
+        H = seen["H"][1]
+        H_hat = np.zeros_like(H)
+        H_hat[:, detected] = ls_channel_estimate(*seen["estimate"][0])
+        assert m.channel_mse == channel_mse(H[:, true_active], H_hat[:, true_active])
+        assert m.channel_mse != len(true_active)  # what zero estimates would score
+        # no decisions: every true node's row is wrong, the false alarm's zero row is right
+        assert m.ser == len(true_active) / len(set(true_active) | set(detected))
 
     def test_shared_pilot_dictionary_mode(self):
         cfg = quick_config(redraw_pilots=False)
