@@ -38,7 +38,6 @@ the true ``M``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +87,6 @@ class MmvProblem:
         """
         R_hat = sample_covariance(Y_p)
         S = _checked_code(S, R_hat.shape[0], sigma_w2)
-        if not np.all(np.isfinite(S)):
-            raise InvalidParameterError("pilot code must be finite")
         return cls(R_hat, S, sigma_w2, np.shape(Y_p)[0])
 
 
@@ -189,8 +186,9 @@ def mfocuss(problem: MmvProblem, D_known: int | None = None) -> Support:
     Row weights are the current row norms raised to ``1 - p/2`` with
     ``p = 0.8``, and the inner system is Tikhonov-regularized by ``lam``,
     the noise variance scaled by the square root of the snapshot count
-    (matching how the row energies grow with snapshots). A singular inner
-    system triggers an internal regularization bump with a warning.
+    (matching how the row energies grow with snapshots). An inner system
+    that is singular to rounding takes its minimum-norm least-squares
+    solution.
     Iteration stops after 200 steps or once the relative change falls below
     1e-6. The support is the ``D_known`` largest final row norms, or all
     above ``0.5`` times the largest (the rule of
@@ -238,24 +236,19 @@ def _snapshot_factor(R_hat: np.ndarray, M: int) -> np.ndarray:
 
 
 def _solve_regularized(G: np.ndarray, lam: float, Y: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Solve ``(G + lam I) Z = Y`` robustly, bumping ``lam`` if singular."""
-    if lam <= 0:
-        # unregularized: minimum-norm solve tolerates the rank collapse that
-        # reweighting produces on noiseless data
-        return np.linalg.lstsq(G, Y, rcond=None)[0]
-    lam_eff = lam
-    for _ in range(6):
+    """Solve ``(G + lam I) Z = Y``; a singular or unregularized system takes least squares.
+
+    The minimum-norm solution tolerates the rank collapse that reweighting
+    produces on noiseless data (``lam = 0``), and a ``G + lam I`` that
+    rounding leaves singular.
+    """
+    if lam > 0:
+        G = G + lam * eye
         try:
-            Z = np.linalg.solve(G + lam_eff * eye, Y)
+            Z = np.linalg.solve(G, Y)
         except np.linalg.LinAlgError:
-            Z = None
-        if Z is not None and np.all(np.isfinite(Z)):
-            return Z
-        scale = max(float(np.trace(G).real) / G.shape[0], 1.0)
-        lam_eff = max(lam_eff * 10.0, 1e-12 * scale)
-        warnings.warn(
-            f"singular inner system; regularization raised to {lam_eff:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return np.linalg.lstsq(G + lam_eff * eye, Y, rcond=None)[0]
+            pass
+        else:
+            if np.all(np.isfinite(Z)):
+                return Z
+    return np.linalg.lstsq(G, Y, rcond=None)[0]

@@ -70,9 +70,7 @@ def sample_covariance(Y_p: np.ndarray) -> np.ndarray:
 
 
 def _checked_code(S: np.ndarray, L: int, sigma_w2: float) -> np.ndarray:
-    """``S`` as an ``L x K`` array with ``K >= 1``, checked with a finite, nonnegative ``sigma_w2``.
-
-    Whether the code is finite is left to the caller."""
+    """``S`` as a finite ``L x K`` array with ``K >= 1``; ``sigma_w2`` finite and nonnegative."""
     S = np.asarray(S)
     if S.ndim != 2 or S.shape[0] != L or S.shape[1] < 1:
         raise InvalidParameterError(
@@ -80,6 +78,8 @@ def _checked_code(S: np.ndarray, L: int, sigma_w2: float) -> np.ndarray:
         )
     if not 0 <= sigma_w2 < math.inf:  # also rejects NaN
         raise InvalidParameterError(f"sigma_w2 must be finite and >= 0, got {sigma_w2}")
+    if not np.all(np.isfinite(S)):
+        raise InvalidParameterError("pilot code is not finite")
     return S
 
 
@@ -102,11 +102,11 @@ def build_smv(phi_yy: np.ndarray, S: np.ndarray, sigma_w2: float) -> tuple[np.nd
     Returns ``(A, x)`` with ``A`` the ``L^2 x K`` Kronecker lift of the
     ``L x K`` pilot code ``S`` and ``x = vec(phi_yy) - sigma_w2 * vec(I)``;
     the noise variance is assumed known, so only its mean is removed.
-    A code with no columns, or whose Gram ``|S^H S|^2`` or step constant is
-    not finite, is rejected before it is lifted. Every ``A`` returned is
-    read-only and memoized with that Gram and step: a call whose code has the
-    same values as the previous call's returns the same ``A`` object, without
-    rebuilding it.
+    A code with no columns or a non-finite entry, or whose Gram
+    ``|S^H S|^2`` or step constant overflows, is rejected before it is
+    lifted. Every ``A`` returned is read-only and memoized with that Gram and
+    step: a call whose code has the same values as the previous call's
+    returns the same ``A`` object, without rebuilding it.
     """
     global _memo
     phi = np.asarray(phi_yy)

@@ -115,26 +115,16 @@ def draw_support(
     return Support(tuple(int(i) for i in idx), K)
 
 
-def draw_channel_gaussian(
-    M: int,
-    support: Support,
-    rng: np.random.Generator,
-    variances=None,
-) -> np.ndarray:
+def draw_channel_gaussian(M: int, support: Support, rng: np.random.Generator) -> np.ndarray:
     """Favorable-propagation ``M x K`` channel: i.i.d. complex Gaussian active columns.
 
-    Columns outside the support are exactly zero. ``variances`` may be a
-    scalar or one value per active node (default 1); entries are uncorrelated
-    across antennas and across nodes.
+    Columns outside the support are exactly zero. Active entries have unit
+    variance and are uncorrelated across antennas and across nodes.
     """
     if M < 1:
         raise InvalidParameterError(f"M must be >= 1, got {M}")
-    var = np.broadcast_to(np.asarray(1.0 if variances is None else variances, dtype=float),
-                          (support.size,)).copy()
-    if not np.all((var > 0) & (var < math.inf)):  # also rejects NaN
-        raise InvalidParameterError("active-node variances must be positive and finite")
     H = np.zeros((M, support.K), dtype=complex)
-    H[:, list(support.indices)] = complex_normal(rng, (M, support.size)) * np.sqrt(var)
+    H[:, list(support.indices)] = complex_normal(rng, (M, support.size))
     return H
 
 

@@ -2,8 +2,7 @@
 
 The detector operates on the column-wise Kronecker lift of the pilot
 dictionary, whose coherence is the square of the base coherence; the helpers
-here quantify how far a code family is from the Welch floor and how much
-sparsity it can identify.
+here measure a code's coherence and how much sparsity it can identify.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "gen_gaussian_dictionary",
     "mutual_coherence",
     "khatri_rao_dictionary",
-    "welch_bound",
     "max_identifiable_support",
 ]
 
@@ -57,20 +55,6 @@ def khatri_rao_dictionary(S: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(f"pilot matrix must be 2-D, got {S.shape}")
     L = S.shape[0]
     return (S.conj()[:, None, :] * S[None, :, :]).reshape(L * L, S.shape[1])
-
-
-def welch_bound(K: int, L: int) -> float:
-    """Lower bound on the coherence of ``K`` unit-norm columns in ``L`` dims.
-
-    Zero when ``K <= L`` (an orthonormal set exists).
-    """
-    if K < 2:
-        raise InvalidParameterError(f"K must be >= 2, got {K}")
-    if L < 1:
-        raise InvalidParameterError(f"L must be >= 1, got {L}")
-    if K <= L:
-        return 0.0
-    return math.sqrt((K - L) / ((K - 1) * L))
 
 
 def max_identifiable_support(mu: float) -> int:

@@ -160,7 +160,7 @@ class TestSharedBehavior:
             MmvProblem.from_received_pilot(np.zeros((4, 20), complex), S, -0.1)
 
     @pytest.mark.parametrize("case", ["nan-variance", "inf-variance", "nan-block", "inf-block",
-                                      "nan-code", "empty-block", "no-columns"])
+                                      "nan-code", "inf-code", "empty-block", "no-columns"])
     def test_rejects_what_detect_activity_rejects(self, case, capfd):
         # past this check the solvers would return a support for each of these,
         # raise from numpy or LAPACK, or warn from the covariance product
@@ -178,16 +178,20 @@ class TestSharedBehavior:
             Y_p[3, 5] = np.inf
         elif case == "nan-code":
             S[2, 7] = np.nan
+        elif case == "inf-code":
+            S[2, 7] = np.inf
         elif case == "no-columns":
             S = S[:, :0]
         else:
             Y_p = Y_p[:0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError) as mmv:
                 MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError) as detect:
                 detect_activity(Y_p, S, sigma_w2)
+        if case.endswith("-code"):  # both builders check the code in one place
+            assert str(mmv.value) == str(detect.value)
         assert capfd.readouterr().err == ""
 
 
@@ -417,12 +421,10 @@ def test_eigh_factor_gives_the_supports_of_the_qr_factor(seed, L, extra_K, M, da
     sigma_w2 = 0.0 if snr_db is None else noise_variance(snr_db)
     Y_p = received_pilot(H, S, sigma_w2, rng)
     problem = MmvProblem.from_received_pilot(Y_p, S, sigma_w2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the inner system's bump, if any
-        supports = bomp(problem, D), mfocuss(problem)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baselines, "_snapshot_factor", lambda R_hat, M: _qr_or_block_factor(Y_p))
-            assert (bomp(problem, D), mfocuss(problem)) == supports
+    supports = bomp(problem, D), mfocuss(problem)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_snapshot_factor", lambda R_hat, M: _qr_or_block_factor(Y_p))
+        assert (bomp(problem, D), mfocuss(problem)) == supports
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,18 +466,14 @@ def test_bomp_stops_at_a_zero_residual():
     assert bomp(MmvProblem.from_received_pilot(-1j * Y_p, S, 0.0), 3) == support
 
 
-def test_singular_inner_system_raises_the_regularization():
+def test_singular_inner_system_takes_the_min_norm_solution():
     # lam is below the rounding of G's entries, so G + lam I == G is singular
     G = np.full((2, 2), 1e20, complex)
     Y = complex_normal(derive_rng(8, 27), (2, 3))
-    with pytest.warns(RuntimeWarning, match=r"raised to 1\.000e\+08") as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         Z = _solve_regularized(G, 1e-10, Y, np.eye(2))
-    assert len(record) == 1
-    lam_eff = 1e-12 * 1e20  # the bump's floor: 1e-12 times the mean diagonal
-    G_eff = G + lam_eff * np.eye(2)
-    assert np.all(np.isfinite(Z))
-    residual = np.linalg.norm(G_eff @ Z - Y)
-    assert residual <= 1e-12 * np.linalg.norm(G_eff, 2) * np.linalg.norm(Z)
+    assert np.array_equal(Z, np.linalg.lstsq(G + 1e-10 * np.eye(2), Y, rcond=None)[0])
 
 
 def _msbl_step_by_solve(gamma, S, F, M, sigma2):

@@ -83,16 +83,6 @@ class TestGaussianChannel:
         rho = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert abs(rho) < 0.02
 
-    def test_per_node_variances(self):
-        H = draw_channel_gaussian(50_000, Support((0, 2), 3), derive_rng(9), variances=[0.5, 2.0])
-        assert abs(np.mean(np.abs(H[:, 0]) ** 2) - 0.5) < 0.02
-        assert abs(np.mean(np.abs(H[:, 2]) ** 2) - 2.0) < 0.08
-
-    @pytest.mark.parametrize("variance", [0.0, float("nan"), float("inf")])
-    def test_rejects_nonpositive_variance(self, variance):
-        with pytest.raises(InvalidParameterError):
-            draw_channel_gaussian(8, Support((0,), 1), derive_rng(0), variances=variance)
-
 
 class TestReceivedSignals:
     def test_zero_channel_zero_noise(self):

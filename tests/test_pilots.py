@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from gfdetect.pilots import (
     khatri_rao_dictionary,
     max_identifiable_support,
     mutual_coherence,
-    welch_bound,
 )
 
 
@@ -23,9 +24,10 @@ class TestDictionaryGeneration:
         assert mutual_coherence(S) > 0.0
 
     def test_coherence_never_below_welch_floor(self):
-        floor = welch_bound(64, 20)
+        K, L = 64, 20
+        floor = math.sqrt((K - L) / ((K - 1) * L))
         for seed in range(25):
-            S = gen_gaussian_dictionary(20, 64, derive_rng(seed))
+            S = gen_gaussian_dictionary(L, K, derive_rng(seed))
             assert floor - 1e-12 <= mutual_coherence(S) < 1.0
 
     def test_normalization_idempotent(self):
@@ -91,17 +93,6 @@ class TestKhatriRao:
             lhs = khatri_rao_dictionary(S) @ r
             rhs = (S @ np.diag(r) @ S.conj().T).ravel(order="F")
             assert np.linalg.norm(lhs - rhs) < 1e-10
-
-
-class TestWelchBound:
-    def test_reference_value(self):
-        assert welch_bound(64, 20) == pytest.approx(0.18687, abs=1e-5)
-
-    def test_square_case_zero(self):
-        assert welch_bound(20, 20) == 0.0
-
-    def test_two_columns_one_dim(self):
-        assert welch_bound(2, 1) == pytest.approx(1.0)
 
 
 class TestSupportLimit:
