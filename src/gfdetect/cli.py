@@ -5,7 +5,7 @@ Example::
     gfdetect sweep --preset fig2 --trials 200 --out fig2.csv
     gfdetect sweep --sweep snr:-10,-5,0,5,10 --D 10 --out fig3.csv
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error writing the CSV.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .harness import (
     PRESETS,
     apply_settings,
     emit_csv,
-    parse_config_file,
     run_sweep,
 )
 
@@ -29,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep and emit CSV")
     sweep.add_argument("--preset", choices=sorted(PRESETS), help="named experiment setup")
-    sweep.add_argument("--config", help="path to a flat key=value configuration file")
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    group = sweep.add_argument_group("configuration keys (override preset and config file)")
+    group = sweep.add_argument_group("configuration keys (override the preset)")
     for key in CONFIG_KEYS:
         group.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
                            metavar="VALUE", help=f"set {key}")
@@ -42,8 +40,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig()
     if args.preset:
         config = ExperimentConfig(**PRESETS[args.preset])
-    if args.config:
-        config = apply_settings(config, parse_config_file(args.config))
     # a flag not given leaves no attribute, so only the flags given override
     overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
     config = apply_settings(config, overrides)
@@ -56,11 +52,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"gfdetect: configuration error: {exc}", file=sys.stderr)
         return 2
+    rows = run_sweep(config)
     try:
-        rows = run_sweep(config)
         emit_csv(rows, args.out or sys.stdout)
     except OSError as exc:
         target = args.out or "<stdout>"

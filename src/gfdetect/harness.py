@@ -58,7 +58,6 @@ __all__ = [
     "run_sweep",
     "emit_csv",
     "parse_sweep",
-    "parse_config_file",
     "apply_settings",
     "CONFIG_KEYS",
 ]
@@ -486,23 +485,8 @@ _SETTERS = {
 CONFIG_KEYS = (*_SETTERS, "sweep")
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read flat ``key=value`` settings; '#' starts a comment."""
-    settings: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
-    return settings
-
-
 def apply_settings(config: ExperimentConfig, settings: dict[str, str]) -> ExperimentConfig:
-    """Overlay string settings (config file or CLI) onto a configuration."""
+    """Overlay string settings (CLI flags or a settings dict) onto a configuration."""
     updates: dict = {}
     for key, value in settings.items():
         if key == "sweep":

@@ -1,6 +1,6 @@
 """The public configuration surface: every key, its field, its parser and its flag.
 
-Config files and CLI flags both go through ``apply_settings``; these tests pin
+CLI flags and settings dicts both go through ``apply_settings``; these tests pin
 which field each key sets, how each value is parsed, which values are
 rejected, and which flag the CLI offers for each key.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gfdetect import cli
+from gfdetect import cli, harness
 from gfdetect.errors import ConfigError
 from gfdetect.harness import DETECTOR_NAMES, GENIE_NAMES, ExperimentConfig, apply_settings, parse_sweep
 
@@ -119,10 +119,19 @@ def test_data_symbols_have_no_spreading_key(capsys):
     assert "--spread" in capsys.readouterr().err
 
 
+def test_cli_has_no_config_file(capsys):
+    # a run is a preset with flags on top
+    assert not hasattr(harness, "parse_config_file")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", "x.cfg"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_cli_offers_exactly_one_flag_per_key():
     sweep = _sweep_subparser()
     options = {s for action in sweep._actions for s in action.option_strings}
-    fixed = {"-h", "--help", "--preset", "--config", "--out"}
+    fixed = {"-h", "--help", "--preset", "--out"}
     assert options == set(FLAGS) | fixed
 
 
@@ -150,7 +159,6 @@ def test_readme_cli_examples_parse_and_validate():
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert block, "README has no CLI block"
     commands = [line.split()[1:] for line in block.group(1).splitlines() if line.startswith("gfdetect sweep")]
-    commands = [argv for argv in commands if "--config" not in argv]
     assert len(commands) >= 3
     for argv in commands:
         cli._build_config(cli.build_parser().parse_args(argv))  # ConfigError if invalid; runs no trial

@@ -683,6 +683,21 @@ def test_step_constant_is_exact_when_the_power_iteration_is_capped():
     assert detect._step_constant(gram) == 1.0
 
 
+@pytest.mark.parametrize("shrink", [4.0, 16.0])
+def test_overlong_step_is_halved_until_the_solve_converges(shrink, monkeypatch):
+    # a step constant below the Gram's largest eigenvalue makes the first steps
+    # overshoot; each overshoot of an unaccelerated step halves the step
+    Y, S, sigma_w2 = pilot_block(210, 10, 0.0, 128, 64, 20)
+    A, x = build_smv(sample_covariance(Y), S, sigma_w2)  # the memo keeps the exact step
+    exact = nn_lasso(A.copy(), x, None, Y.shape[0], 10)
+    step_constant = detect._step_constant
+    monkeypatch.setattr(detect, "_step_constant", lambda gram: step_constant(gram) / shrink)
+    halved = nn_lasso(A.copy(), x, None, Y.shape[0], 10)
+    assert exact.converged and exact.iterations == 28
+    assert halved.converged and halved.iterations < 100
+    assert halved.support_hat == exact.support_hat
+
+
 def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
     """The power iteration with its own Rayleigh product: two ``gram @ v`` per step.
 
