@@ -37,12 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if args.preset:
-        config = ExperimentConfig(**PRESETS[args.preset])
     # a flag not given leaves no attribute, so only the flags given override
     overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
-    config = apply_settings(config, overrides)
+    config = apply_settings(ExperimentConfig(**PRESETS.get(args.preset, {})), overrides)
     config.validate()
     return config
 

@@ -164,13 +164,13 @@ _POWER_RTOL = 1e-12  # stop once a step moves the estimate by <= this * max(esti
 
 
 def _step_constant(gram: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric PSD Gram matrix: the solver's step constant.
+    """Largest eigenvalue of a nonnegative symmetric Gram matrix: the solver's step constant.
 
-    Found by power iteration. Past ``K * max(diag) > 2**500`` the iteration
-    runs on ``gram`` scaled by an exact power of two, so ``||gram @ v||^2``
-    cannot overflow; the result is scaled back. An iteration that has not
-    converged in ``_POWER_STEPS`` steps, still low, gives way to ``eigvalsh``.
-    A ``gram`` or step constant that is not finite is rejected.
+    Found by power iteration from all ones, never orthogonal to the nonnegative
+    top eigenvector; past ``K * max(diag) > 2**500`` it runs on ``gram`` scaled
+    by a power of two, so ``||gram @ v||^2`` cannot overflow, and scales back.
+    Unconverged after ``_POWER_STEPS`` steps, still low, it gives way to
+    ``eigvalsh``. A ``gram`` or step constant that is not finite is rejected.
     """
     if not np.all(np.isfinite(gram)):
         raise InvalidParameterError("the LASSO's Gram matrix is not finite")
@@ -224,13 +224,12 @@ def nn_lasso(
     ``A`` and ``x`` may be complex while ``r`` is real nonnegative; the
     data term uses the squared modulus of the residual, so the problem is
     the real quadratic ``0.5 r^T G r - b^T r + 0.5||x||^2`` with
-    ``G = Re(A^H A)`` (formed as ``B^T B`` with ``B = [Re A; Im A]``) and
-    ``b = Re(A^H x)``. The solver is a monotone accelerated projected
-    proximal-gradient method with the step set by the largest eigenvalue of
-    ``G`` (power iteration); it carries each point with its Gram product as
-    one ``2 x K`` array ``[r; G r]``, so each iteration costs one ``K x K``
-    product. Momentum is restarted whenever the accelerated step fails to
-    decrease the objective, which keeps the objective non-increasing.
+    ``G = Re(A^H A)`` and ``b = Re(A^H x)``. The solver is a monotone
+    accelerated projected proximal-gradient method whose step is set by the
+    largest eigenvalue of ``|G|``, an upper bound on ``G``'s; it carries each
+    point with its Gram product as one ``2 x K`` array ``[r; G r]``, so each
+    iteration costs one ``K x K`` product. Momentum restarts whenever the
+    accelerated step fails to decrease the objective, keeping it non-increasing.
     Convergence is declared when the relative objective decrease drops below
     ``objective_tolerance``. ``lam=None`` selects :func:`_penalty_rule`
     for ``snapshots`` averaged antennas; ``known_sparsity`` is passed to
@@ -262,7 +261,7 @@ def nn_lasso(
         with np.errstate(over="ignore", invalid="ignore"):  # _step_constant rejects an overflow
             gram = B.T @ B
         del B
-        lip = _step_constant(gram)
+        lip = _step_constant(np.abs(gram))  # bounds the top eigenvalue of a signed Gram
         corr = _adjoint_product(A, x)
     else:  # the memo's lift was checked when build_smv formed its Gram
         gram, lip, corr = memo.gram, memo.lip, _lift_correlation(memo.code, x)

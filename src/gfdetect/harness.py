@@ -94,7 +94,7 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = field(default=(), metadata=_NO_KEY)
     N: int = 40
     lam: float | None = None
-    use_known_sparsity: bool = field(default=True, metadata={"key": "known_sparsity"})
+    known_sparsity: bool = True
     redraw_pilots: bool = True
     workers: int = 1
     stream: int = field(default=0, metadata=_NO_KEY)  # sweep-point index, set by the harness
@@ -226,12 +226,12 @@ def _run_detector(
 
     The comparison protocol mirrors the usual benchmark convention: the
     covariance detector consumes the activity-level prior when
-    ``use_known_sparsity`` is on, block-OMP always needs it, while MSBL and
+    ``known_sparsity`` is on, block-OMP always needs it, while MSBL and
     M-FOCUSS decide the support from their own pruning rules.
     """
     D_true = support_true.size
     if name == "cov-lasso":
-        D_known = D_true if config.use_known_sparsity else None
+        D_known = D_true if config.known_sparsity else None
         return detect_activity(Y_p, S, sigma_w2, config.lam, D_known).support_hat
     if name in GENIE_NAMES:
         return support_true
@@ -455,16 +455,16 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"boolean expected, got {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
 
 
 def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip().lower() in ("auto", "none", "") else float(text)
+    try:
+        return None if text == "auto" else float(text)
+    except ValueError:
+        raise ValueError("expected a number or auto") from None
 
 
 # value parser per field annotation
@@ -486,7 +486,10 @@ CONFIG_KEYS = (*_SETTERS, "sweep")
 
 
 def apply_settings(config: ExperimentConfig, settings: dict[str, str]) -> ExperimentConfig:
-    """Overlay string settings (CLI flags or a settings dict) onto a configuration."""
+    """Overlay string settings (CLI flags or a settings dict) onto a configuration.
+
+    A boolean is ``true`` or ``false``; ``auto`` unsets ``lam`` or ``activity_prob``.
+    """
     updates: dict = {}
     for key, value in settings.items():
         if key == "sweep":
@@ -498,5 +501,5 @@ def apply_settings(config: ExperimentConfig, settings: dict[str, str]) -> Experi
         try:
             updates[name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     return dataclasses.replace(config, **updates)

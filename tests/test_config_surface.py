@@ -7,7 +7,9 @@ rejected, and which flag the CLI offers for each key.
 
 import argparse
 import dataclasses
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from gfdetect.errors import ConfigError
 from gfdetect.harness import DETECTOR_NAMES, GENIE_NAMES, ExperimentConfig, apply_settings, parse_sweep
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # key: (field, well-formed value, parsed value, malformed value)
 KEYS = {
@@ -34,8 +37,8 @@ KEYS = {
     "N": ("N", "8", 8, ""),
     "lam": ("lam", "0.3", 0.3, "big"),
     "detector": ("detector", "msbl,bomp", "msbl,bomp", "bogus"),
-    "known_sparsity": ("use_known_sparsity", "false", False, "maybe"),
-    "redraw_pilots": ("redraw_pilots", "off", False, "2"),
+    "known_sparsity": ("known_sparsity", "false", False, "yes"),
+    "redraw_pilots": ("redraw_pilots", "false", False, "off"),
 }
 SWEEP = ("snr:-10,-5,0", ("snr", (-10.0, -5.0, 0.0)), "volume:1,2")
 FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
@@ -43,14 +46,14 @@ FLAGS = {"--" + key.replace("_", "-"): key for key in (*KEYS, "sweep")}
 FIELDS = (
     "K", "L", "M", "D", "activity_prob", "snr_db", "trials", "seed", "detector",
     "sweep_axis", "sweep_values", "N", "lam",
-    "use_known_sparsity", "redraw_pilots", "workers", "stream",
+    "known_sparsity", "redraw_pilots", "workers", "stream",
 )
 INT_KEYS = ("K", "L", "M", "D", "trials", "seed", "workers", "N")
 FLOAT_KEYS = ("snr", "activity_prob", "lam")
 NULLABLE_KEYS = ("lam", "activity_prob")
 BOOL_KEYS = ("known_sparsity", "redraw_pilots")
-TRUE_WORDS = ("1", "true", "yes", "on")
-FALSE_WORDS = ("0", "false", "no", "off")
+# common boolean spellings; of these, only an unpadded lowercase true or false parses
+BOOLEAN_WORDS = ("1", "true", "yes", "on", "0", "false", "no", "off")
 
 
 def _sweep_subparser() -> argparse.ArgumentParser:
@@ -117,6 +120,35 @@ def test_data_symbols_have_no_spreading_key(capsys):
         cli.main(["sweep", "--spread", "4"])
     assert exc.value.code == 2
     assert "--spread" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, form", [
+    ("--known-sparsity", "yes", "expected true or false"),
+    ("--redraw-pilots", "True", "expected true or false"),
+    ("--lam", "none", "expected a number or auto"),
+])
+def test_cli_names_the_accepted_form_and_runs_no_trial(flag, value, form, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("a trial ran"))
+    assert cli.main(["sweep", "--preset", "fig2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert form in captured.err
+    assert captured.out == ""
+
+
+def test_perfbench_settings_parse_and_validate(monkeypatch):
+    # the benchmark writes its workloads in the configuration language, so a
+    # stricter parser must still accept every settings dict it passes
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    settings = [workloads.PROBE_SETTINGS]
+    for w in workloads.WORKLOADS.values():
+        settings += [workloads.quality_settings(w), workloads.batch_settings(w, 1, 0)]
+        settings += [workloads.baseline_settings(w)] if w.baseline_trials else []
+    assert len(settings) == 9
+    for s in settings:
+        apply_settings(ExperimentConfig(), s).validate()
 
 
 def test_cli_has_no_config_file(capsys):
@@ -224,31 +256,36 @@ def test_every_list_of_names_is_a_detector_list(entries, empty, at):
 
 @given(
     key=st.sampled_from(BOOL_KEYS),
-    word=st.sampled_from(TRUE_WORDS + FALSE_WORDS),
+    word=st.sampled_from(BOOLEAN_WORDS),
     upper=st.lists(st.booleans(), min_size=5, max_size=5),
     pad=PADS,
 )
 def test_every_boolean_spelling_parses(key, word, upper, pad):
+    # a boolean is spelled exactly true or false; no other word, case or padding
+    for exact in ("true", "false"):
+        assert getattr(apply_settings(ExperimentConfig(), {key: exact}), KEYS[key][0]) is (exact == "true")
     text = pad + "".join(c.upper() if u else c for c, u in zip(word, upper)) + pad
-    config = apply_settings(ExperimentConfig(), {key: text})
-    assert getattr(config, KEYS[key][0]) is (word in TRUE_WORDS)
+    assume(text not in ("true", "false"))
+    with pytest.raises(ConfigError, match="expected true or false"):
+        apply_settings(ExperimentConfig(), {key: text})
 
 
 @given(key=st.sampled_from(BOOL_KEYS), text=st.text(max_size=6))
 def test_other_boolean_text_is_rejected(key, text):
-    assume(text.strip().lower() not in TRUE_WORDS + FALSE_WORDS)
+    assume(text not in ("true", "false"))
     with pytest.raises(ConfigError):
         apply_settings(ExperimentConfig(), {key: text})
 
 
 @given(
     key=st.sampled_from(INT_KEYS + FLOAT_KEYS),
-    word=st.sampled_from(["auto", "none", "", "AUTO", " None ", "\t"]),
+    word=st.sampled_from(["auto", "none", "", "AUTO", "Auto", " auto", "auto ", " None ", "\t"]),
 )
 def test_missing_value_means_none_only_for_nullable_keys(key, word):
-    if key in NULLABLE_KEYS:
+    # exactly auto unsets a nullable number; no other word, case or padding does
+    if key in NULLABLE_KEYS and word == "auto":
         config = apply_settings(ExperimentConfig(lam=0.5, activity_prob=0.5), {key: word})
         assert getattr(config, KEYS[key][0]) is None
     else:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="expected a number or auto" if key in NULLABLE_KEYS else None):
             apply_settings(ExperimentConfig(), {key: word})

@@ -698,6 +698,31 @@ def test_overlong_step_is_halved_until_the_solve_converges(shrink, monkeypatch):
     assert halved.support_hat == exact.support_hat
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), K=st.integers(1, 6), mirrored=st.booleans())
+def test_signed_grams_step_constant_bounds_its_largest_eigenvalue(seed, rows, K, mirrored):
+    # the columns of [A, -A] cancel, so the top eigenvector of Re(A^H A) is
+    # orthogonal to the power iteration's all-ones start; |Re(A^H A)| has a
+    # nonnegative top eigenvector, with an eigenvalue at least as large
+    rng = derive_rng(seed, 43)
+    A = rng.standard_normal((rows, K))
+    A = np.hstack([A, -A]) if mirrored else A
+    constants = []
+    step_constant = detect._step_constant
+
+    def spy(gram):
+        constants.append(step_constant(gram))
+        return constants[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detect, "_step_constant", spy)
+        nn_lasso(A, rng.standard_normal(rows), lam=0.1)
+    # the power iteration stops once a step moves it by 1e-12 of itself, and
+    # then sits at most a few times that below the eigenvalue
+    assert len(constants) == 1
+    assert constants[0] >= np.linalg.eigvalsh(A.T @ A)[-1] * (1 - 1e-10)
+
+
 def _spectral_norm_sq_two_products(gram, iterations=200, rtol=1e-12):
     """The power iteration with its own Rayleigh product: two ``gram @ v`` per step.
 
