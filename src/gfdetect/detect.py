@@ -291,19 +291,22 @@ def nn_lasso(
         new = np.empty((2, K))
         np.maximum(ahead[0] - step * (ahead[1] + offset), 0.0, out=new[0])
         np.dot(gram, new[0], out=new[1])
-        obj_new = objective(new)
+        move = new - cur
+        # the quadratic's exact change, move . (mean gradient + lam), rounds to
+        # the size of the change, where obj - objective(new) rounds to obj's:
+        # near the optimum that noise alone would accept or refuse a step
+        decrease = -float(move[0] @ (0.5 * (new[1] + cur[1]) + offset))
         # an unaccelerated step with a valid step size cannot increase the
         # true objective; apparent rises within float noise are accepted
         slack = 32.0 * eps * max(abs(obj), 1.0) if plain_step else 0.0
-        if obj_new <= obj + slack:
+        if decrease >= -slack:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             # gram is linear, so one expression moves the point and its product
-            ahead = new + ((t - 1.0) / t_next) * (new - cur)
+            ahead = new + ((t - 1.0) / t_next) * move
             cur = new
             t = t_next
             plain_step = False
-            decrease = obj - obj_new
-            obj = obj_new
+            obj = objective(new)
             # strict: a zero tolerance disables the plateau stop entirely
             if max(decrease, 0.0) < objective_tolerance * max(abs(obj), 1e-30):
                 converged = True

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -100,10 +101,23 @@ class ExperimentConfig:
     stream: int = field(default=0, metadata=_NO_KEY)  # sweep-point index, set by the harness
 
     def validate(self) -> None:
+        """Check the sweep's shape, then each field at every sweep point (not a swept base value)."""
+        if self.sweep_axis not in SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
+        if (self.sweep_axis != "none") != bool(self.sweep_values):
+            raise ConfigError("a sweep needs both an axis and at least one value")
+        if self.sweep_axis == "sparsity" and self.activity_prob is not None:
+            raise ConfigError("sparsity sweeps require fixed-size activity")
+        for value in self.sweep_values:
+            if self.sweep_axis in ("sparsity", "antennas") and not float(value).is_integer():
+                raise ConfigError(f"{self.sweep_axis} values must be integers, got {value}")
+        for _, point in _sweep_points(self):
+            point._check_fields()
+
+    def _check_fields(self) -> None:
         if self.K < 1 or self.L < 1 or self.M < 1:
             raise ConfigError(f"K, L, M must be >= 1 (got K={self.K}, L={self.L}, M={self.M})")
-        # a sparsity sweep sets D at every point, so the base D is unused there
-        if self.activity_prob is None and self.sweep_axis != "sparsity" and not 0 <= self.D <= self.K:
+        if self.activity_prob is None and not 0 <= self.D <= self.K:
             raise ConfigError(f"D must lie in [0, {self.K}], got {self.D}")
         if self.activity_prob is not None and not 0.0 <= self.activity_prob <= 1.0:
             raise ConfigError(f"activity_prob must lie in [0, 1], got {self.activity_prob}")
@@ -117,37 +131,23 @@ class ExperimentConfig:
             raise ConfigError(f"N must be >= 0, got {self.N}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
-        if (self.sweep_axis != "none") != bool(self.sweep_values):
-            raise ConfigError("a sweep needs both an axis and at least one value")
-        if self.sweep_axis == "sparsity" and self.activity_prob is not None:
-            raise ConfigError("sparsity sweeps require fixed-size activity")
         self.detector_list()
-        for value in self.sweep_values:
-            if self.sweep_axis == "sparsity" and not (float(value).is_integer() and 0 <= value <= self.K):
-                raise ConfigError(f"sparsity values must be integers in [0, {self.K}], got {value}")
-            if self.sweep_axis == "antennas" and not (float(value).is_integer() and value >= 1):
-                raise ConfigError(f"antenna counts must be positive integers, got {value}")
-        snrs = self.sweep_values if self.sweep_axis == "snr" else ()
         try:
-            for snr_db in (self.snr_db, *snrs):
-                noise_variance(snr_db)
+            noise_variance(self.snr_db)
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
     def detector_list(self) -> tuple[str, ...]:
+        """Names in order, ``all`` giving the four detectors; entries are unpadded, names unrepeated."""
         names: list[str] = []
         for token in self.detector.split(","):
-            token = token.strip()
-            if token == "all":
-                names.extend(DETECTOR_NAMES)
-            elif token in DETECTOR_NAMES or token in GENIE_NAMES:
-                names.append(token)
-            else:
-                raise ConfigError(f"unknown detector {token!r}")
-        # preserve order, drop duplicates
-        return tuple(dict.fromkeys(names))
+            for name in DETECTOR_NAMES if token == "all" else (token,):
+                if name not in DETECTOR_NAMES and name not in GENIE_NAMES:
+                    raise ConfigError(f"unknown detector {name!r}")
+                if name in names:
+                    raise ConfigError(f"detector {name!r} is named twice")
+                names.append(name)
+        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -443,15 +443,31 @@ def emit_csv(rows: list[MetricsRow], destination) -> None:
 
 
 def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
-    """Parse ``axis:v1,v2,...`` sweep syntax; every entry must be a number."""
+    """Parse ``axis:v1,v2,...`` sweep syntax: an exact axis name, then unpadded numbers."""
     axis, _, values = spec.partition(":")
-    axis = axis.strip()
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     try:
-        return axis, tuple(float(tok) for tok in values.split(","))
-    except ValueError as exc:  # an empty entry, a second ':' or a non-number
-        raise ConfigError(f"malformed sweep spec {spec!r}, expected axis:v1,v2,...") from exc
+        return axis, tuple(_parse_float(tok) for tok in values.split(","))
+    except ValueError as exc:  # an empty, padded or non-number entry, or a second ':'
+        raise ConfigError(f"malformed sweep spec {spec!r}, expected axis:v1,v2,... of numbers") from exc
+
+
+# what str prints for an int, and what repr prints for an int or a non-NaN float
+_INTEGER = re.compile(r"-?[0-9]+")
+_NUMBER = re.compile(r"-?(inf|[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?)")
+
+
+def _parse_int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("expected an integer")
+    return int(text)
+
+
+def _parse_float(text: str) -> float:
+    if not _NUMBER.fullmatch(text):
+        raise ValueError("expected a number")
+    return float(text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -462,15 +478,15 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_optional_float(text: str) -> float | None:
     try:
-        return None if text == "auto" else float(text)
+        return None if text == "auto" else _parse_float(text)
     except ValueError:
         raise ValueError("expected a number or auto") from None
 
 
 # value parser per field annotation
 _PARSERS = {
-    "int": int,
-    "float": float,
+    "int": _parse_int,
+    "float": _parse_float,
     "float | None": _parse_optional_float,
     "bool": _parse_bool,
     "str": str,
@@ -488,7 +504,9 @@ CONFIG_KEYS = (*_SETTERS, "sweep")
 def apply_settings(config: ExperimentConfig, settings: dict[str, str]) -> ExperimentConfig:
     """Overlay string settings (CLI flags or a settings dict) onto a configuration.
 
-    A boolean is ``true`` or ``false``; ``auto`` unsets ``lam`` or ``activity_prob``.
+    An integer is written as ``str`` writes one, a number as ``repr`` writes an int or
+    a non-NaN float, and a boolean as ``true`` or ``false``; ``auto`` unsets ``lam``
+    or ``activity_prob``. :meth:`ExperimentConfig.validate` checks the ranges.
     """
     updates: dict = {}
     for key, value in settings.items():

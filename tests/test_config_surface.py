@@ -126,6 +126,8 @@ def test_data_symbols_have_no_spreading_key(capsys):
     ("--known-sparsity", "yes", "expected true or false"),
     ("--redraw-pilots", "True", "expected true or false"),
     ("--lam", "none", "expected a number or auto"),
+    ("--K", "1_0", "expected an integer"),
+    ("--snr", "Infinity", "expected a number"),
 ])
 def test_cli_names_the_accepted_form_and_runs_no_trial(flag, value, form, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("a trial ran"))
@@ -228,30 +230,41 @@ PADS = st.sampled_from(["", " ", "\t"])
 
 
 @given(
-    entries=st.lists(
-        st.tuples(PADS, st.floats(allow_nan=False, allow_infinity=False), PADS),
-        min_size=1,
-    ),
+    entries=st.lists(st.one_of(st.integers(-(10**15), 10**15), st.floats(allow_nan=False)), min_size=1),
+    pad=st.sampled_from([" ", "\t"]),
+    at=st.integers(0),
+    left=st.booleans(),
 )
-def test_every_list_of_numbers_is_a_sweep(entries):
-    spec = "snr:" + ",".join(f"{left}{x!r}{right}" for left, x, right in entries)
-    assert parse_sweep(spec) == ("snr", tuple(x for _, x, _ in entries))
+def test_every_list_of_numbers_is_a_sweep(entries, pad, at, left):
+    # a sweep is its exact axis name, then each value as repr writes it; a pad anywhere is an error
+    parts = ["snr", *map(repr, entries)]
+    assert parse_sweep(parts[0] + ":" + ",".join(parts[1:])) == ("snr", tuple(map(float, entries)))
+    i = at % len(parts)
+    parts[i] = pad + parts[i] if left else parts[i] + pad
+    with pytest.raises(ConfigError):
+        parse_sweep(parts[0] + ":" + ",".join(parts[1:]))
 
 
 @given(
-    entries=st.lists(st.tuples(PADS, st.sampled_from([*DETECTOR_NAMES, *GENIE_NAMES, "all"]), PADS),
-                     min_size=1),
-    empty=st.tuples(PADS, PADS),
+    entries=st.lists(st.sampled_from([*DETECTOR_NAMES, *GENIE_NAMES, "all"]), min_size=1, unique=True),
+    pad=st.sampled_from([" ", "\t"]),
     at=st.integers(0),
+    left=st.booleans(),
 )
-def test_every_list_of_names_is_a_detector_list(entries, empty, at):
-    # a detector list reads like a sweep list: comma-separated, no empty entry
-    tokens = [f"{left}{name}{right}" for left, name, right in entries]
-    expanded = [n for _, name, _ in entries for n in (DETECTOR_NAMES if name == "all" else (name,))]
-    assert ExperimentConfig(detector=",".join(tokens)).detector_list() == tuple(dict.fromkeys(expanded))
-    tokens.insert(at % (len(tokens) + 1), "".join(empty))
-    with pytest.raises(ConfigError, match="unknown detector"):
-        ExperimentConfig(detector=",".join(tokens)).detector_list()
+def test_every_list_of_names_is_a_detector_list(entries, pad, at, left):
+    # a detector list names each detector once, unpadded and comma-separated; `all` names four
+    expanded = [n for name in entries for n in (DETECTOR_NAMES if name == "all" else (name,))]
+    assume(len(set(expanded)) == len(expanded))
+    assert ExperimentConfig(detector=",".join(entries)).detector_list() == tuple(expanded)
+    i = at % len(entries)
+    padded = pad + entries[i] if left else entries[i] + pad
+    for tokens, message in (
+        ([*entries[:i], padded, *entries[i + 1:]], f"unknown detector {padded!r}"),
+        ([*entries[:i], "", *entries[i:]], "unknown detector ''"),
+        ([*entries[:i], entries[i], *entries[i:]], "is named twice"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(detector=",".join(tokens)).detector_list()
 
 
 @given(

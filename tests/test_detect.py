@@ -522,22 +522,24 @@ def _nn_lasso_complex_gram(A, x, lam, max_iterations=2000, objective_tolerance=1
         lip = new
     step = 1.0 / (1.01 * lip)
 
-    def objective(r):
-        return float(0.5 * (r @ (gram @ r)) - b @ r + 0.5 * xnorm2 + lam * r.sum())
+    def objective(r, gram_r):
+        return float(0.5 * (r @ gram_r) - b @ r + 0.5 * xnorm2 + lam * r.sum())
 
     r = np.zeros(K)
-    obj = objective(r)
+    gram_r = gram @ r
+    obj = objective(r, gram_r)
     y, t, plain_step, iterations = r, 1.0, True, 0
     eps = np.finfo(float).eps
     for iterations in range(1, max_iterations + 1):
         z = np.maximum(y - step * (gram @ y - b + lam), 0.0)
-        obj_z = objective(z)
+        gram_z = gram @ z
+        decrease = -float((z - r) @ (0.5 * (gram_z + gram_r) - b + lam))
         slack = 32.0 * eps * max(abs(obj), 1.0) if plain_step else 0.0
-        if obj_z <= obj + slack:
+        if decrease >= -slack:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             y = z + ((t - 1.0) / t_next) * (z - r)
-            r, t, plain_step = z, t_next, False
-            decrease, obj = obj - obj_z, obj_z
+            r, gram_r, t, plain_step = z, gram_z, t_next, False
+            obj = objective(r, gram_r)
             if max(decrease, 0.0) < objective_tolerance * max(abs(obj), 1e-30):
                 break
         else:

@@ -4,6 +4,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,9 +204,15 @@ class TestConfigValidation:
 
     def test_detector_parsing(self):
         assert ExperimentConfig(detector="all").detector_list() == ("cov-lasso", "msbl", "bomp", "mfocuss")
-        assert ExperimentConfig(detector="msbl, paci").detector_list() == ("msbl", "paci")
-        with pytest.raises(ConfigError):
-            ExperimentConfig(detector="nope").detector_list()
+        assert ExperimentConfig(detector="msbl,paci").detector_list() == ("msbl", "paci")
+        for detector, message in (
+            ("nope", "unknown detector 'nope'"),
+            ("msbl, paci", "unknown detector ' paci'"),
+            ("msbl,msbl", "detector 'msbl' is named twice"),
+            ("cov-lasso,all", "detector 'cov-lasso' is named twice"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                ExperimentConfig(detector=detector).detector_list()
 
     def test_validate_rejects_bad_values(self):
         nan = float("nan")
@@ -226,14 +233,23 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 quick_config(**bad).validate()
 
-    def test_sparsity_sweep_ignores_the_base_d(self):
-        # every point sets its own D, so the default D=10 > K is never used
-        cfg = apply_settings(ExperimentConfig(), dict(K="8", L="4", M="8", trials="1", sweep="sparsity:1,2"))
+    @pytest.mark.parametrize("base, axis, values, bad_values, message", [
+        (dict(D=9), "sparsity", (1, 2), (1, 9), "D must lie in [0, 8], got 9"),
+        (dict(M=0), "antennas", (4, 8), (0,), "K, L, M must be >= 1"),
+        (dict(snr_db=math.nan), "snr", (0.0, 10.0), (0.0, math.nan), "got nan"),
+    ], ids=["sparsity", "antennas", "snr"])
+    def test_sweep_checks_each_point_not_the_base_value(self, base, axis, values, bad_values, message):
+        # every point sets its own value of the swept field, so the base value is never used;
+        # a swept value out of range breaks the same rule that the base value breaks unswept
+        cfg = dataclasses.replace(ExperimentConfig(K=8, L=4, M=8, D=2, trials=1), **base,
+                                  sweep_axis=axis, sweep_values=values)
         cfg.validate()
         rows = run_sweep(cfg)
-        assert [(r.axis, r.detector) for r in rows] == [(1.0, "cov-lasso"), (2.0, "cov-lasso")]
-        with pytest.raises(ConfigError):
-            apply_settings(ExperimentConfig(), dict(K="8", D="9")).validate()
+        assert [(r.axis, r.detector) for r in rows] == [(float(v), "cov-lasso") for v in values]
+        for bad in (dataclasses.replace(cfg, sweep_values=bad_values),
+                    dataclasses.replace(cfg, sweep_axis="none", sweep_values=())):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                bad.validate()
 
     def test_sparsity_sweep_needs_fixed_size_mode(self):
         cfg = quick_config(sweep_axis="sparsity", sweep_values=(2, 4), activity_prob=0.1)
@@ -663,9 +679,21 @@ class TestCli:
         ["--sweep", "snr:1,,2"],
         ["--detector", "msbl,"],
         ["--detector", ","],
+        ["--K", " 64"],
+        ["--trials", "1_0"],
+        ["--trials", "٣"],
+        ["--D", "+3"],
+        ["--snr", "Infinity"],
+        ["--lam", ".5"],
+        ["--sweep", " snr:0"],
+        ["--sweep", "snr: 0"],
+        ["--detector", "msbl, bomp"],
+        ["--detector", "msbl,msbl"],
+        ["--detector", "cov-lasso,all"],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
-        assert main(["sweep", *flags, "--trials", "1", "--M", "8", "--N", "0"]) == 2
+        # the flags under test come last, so a repeated flag such as --trials is the one under test
+        assert main(["sweep", "--trials", "1", "--M", "8", "--N", "0", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("gfdetect: configuration error: ")
         assert captured.out == ""  # no CSV
