@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import math
 import os
-import re
 import time
 from dataclasses import dataclass, field
 
@@ -336,14 +335,14 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
     level; every trial's channels are Gaussian with unit variances. The rest
     of the floor's domain (at least two pilot columns, ``D >= 1``, nonzero
     noise and a coherence that admits ``D``) is checked by
-    ``mutual_coherence`` and :class:`theory.BoundInputs`; a point outside it
-    gets ``None``.
+    ``mutual_coherence`` and :func:`theory.evaluate_recovery_bound`; a point
+    outside it gets ``None``.
     """
     if pc.lam is None or pc.redraw_pilots or pc.activity_prob is not None:
         return None
     S = _shared_pilots(pc.L, pc.K, pc.seed)
     try:
-        inputs = theory.BoundInputs(
+        return theory.evaluate_recovery_bound(
             lam=pc.lam,
             mu=mutual_coherence(S),
             D=pc.D,
@@ -353,7 +352,6 @@ def _point_bound(pc: ExperimentConfig) -> float | None:
             S_infnorm=float(np.max(np.abs(S))),
             sigma_min2=1.0,
         )
-        return theory.evaluate_recovery_bound(inputs)
     except (InvalidParameterError, ConditionViolatedError):
         return None
 
@@ -453,21 +451,26 @@ def parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
         raise ConfigError(f"malformed sweep spec {spec!r}, expected axis:v1,v2,... of numbers") from exc
 
 
-# what str prints for an int, and what repr prints for an int or a non-NaN float
-_INTEGER = re.compile(r"-?[0-9]+")
-_NUMBER = re.compile(r"-?(inf|[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?)")
-
-
 def _parse_int(text: str) -> int:
-    if not _INTEGER.fullmatch(text):
-        raise ValueError("expected an integer")
-    return int(text)
+    """An int as ``str`` writes it."""
+    try:
+        if str(value := int(text)) == text:
+            return value
+    except ValueError:
+        pass
+    raise ValueError("expected an integer")
 
 
 def _parse_float(text: str) -> float:
-    if not _NUMBER.fullmatch(text):
-        raise ValueError("expected a number")
-    return float(text)
+    """A finite int as ``str`` writes it, or a non-NaN float as ``repr`` writes it."""
+    try:
+        value = float(text)
+        as_repr = text == repr(value) and not math.isnan(value)
+        if as_repr or (math.isfinite(value) and text == str(int(text))):
+            return value
+    except ValueError:
+        pass
+    raise ValueError("expected a number")
 
 
 def _parse_bool(text: str) -> bool:

@@ -63,10 +63,16 @@ def max_identifiable_support(mu: float) -> int:
     Uniqueness of the nonnegative sparse solution holds while the activity
     level is strictly below ``(1 + 1/mu^2) / 2``, ``mu`` being the coherence
     of the base dictionary (the lifted dictionary has coherence ``mu^2``).
+    Below ``mu ~ 7.5e-155`` the limit overflows a float, so it is counted
+    exactly from ``mu = p/q``: the largest integer below ``(p^2 + q^2) / (2 p^2)``.
     """
     if mu <= 0.0 or mu > 1.0:
         raise InvalidParameterError(f"coherence must lie in (0, 1], got {mu}")
-    limit = 0.5 * (1.0 + 1.0 / (mu * mu))
+    mu2 = mu * mu
+    limit = 0.5 * (1.0 + 1.0 / mu2) if mu2 else math.inf
+    if limit == math.inf:
+        p, q = mu.as_integer_ratio()
+        return (p * p + q * q - 1) // (2 * p * p)
     d = math.floor(limit)
     if d == limit:
         d -= 1

@@ -4,15 +4,15 @@ The success probability of the covariance-domain detector admits a lower
 bound of the form ``1 - (D + 4 L^2) * gamma^(-M)`` with ``gamma > 1`` built
 from three exponents: a Chernoff rate for the per-node empirical channel
 power (``chernoff_power_rate``) and two concentration exponents for the
-channel-cross-term and noise-cross-term fluctuations (``deltas``). The
-functions here evaluate those closed-form quantities numerically; nothing
-is re-derived.
+channel-cross-term and noise-cross-term fluctuations, which
+``evaluate_recovery_bound`` forms from the event constant ``c1``
+(``lasso_constants``). The functions here evaluate those closed-form
+quantities numerically; nothing is re-derived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,56 +20,13 @@ from .errors import ConditionViolatedError, InvalidParameterError
 from .pilots import max_identifiable_support
 
 __all__ = [
-    "BoundInputs",
     "lasso_constants",
     "chernoff_power_rate",
-    "deltas",
-    "recovery_bound",
     "evaluate_recovery_bound",
     "empirical_power_floor_check",
 ]
 
 _SPLIT = 0.5  # share of the c1/L budget given to the channel cross terms (C1)
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the bound evaluation needs about one configuration.
-
-    Active channels have unit power, so the channel cross terms need no
-    variance of their own. ``sigma_w2`` is the white-noise variance,
-    ``S_infnorm`` the largest pilot-entry magnitude, and ``sigma_min2`` the
-    smallest active-channel variance; ``D`` may not exceed
-    ``max_identifiable_support(mu)``.
-    """
-
-    lam: float
-    mu: float
-    D: int
-    L: int
-    M: int
-    sigma_w2: float
-    S_infnorm: float
-    sigma_min2: float
-
-    def __post_init__(self) -> None:
-        positives = {
-            "lam": self.lam,
-            "mu": self.mu,
-            "sigma_w2": self.sigma_w2,
-            "S_infnorm": self.S_infnorm,
-            "sigma_min2": self.sigma_min2,
-        }
-        for name, value in positives.items():
-            if value <= 0 or not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be positive, got {value}")
-        for name, value in (("D", self.D), ("L", self.L), ("M", self.M)):
-            if value < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {value}")
-        if self.D > max_identifiable_support(self.mu):
-            raise ConditionViolatedError(
-                f"sparsity D={self.D} violates D < (1 + 1/mu^2)/2 for mu={self.mu}"
-            )
 
 
 def lasso_constants(lam: float, mu: float, D: int) -> tuple[float, float]:
@@ -113,54 +70,49 @@ def chernoff_power_rate(C: float, sigma_min2: float) -> float:
     return math.sqrt(best)
 
 
-def deltas(inputs: BoundInputs) -> tuple[float, float]:
-    """Concentration exponents ``(delta1, delta2)`` for the two cross-term fluctuations.
+def evaluate_recovery_bound(
+    *, lam: float, mu: float, D: int, L: int, M: int,
+    sigma_w2: float, S_infnorm: float, sigma_min2: float,
+) -> float:
+    """Success-probability floor ``max(0, 1 - (D + 4 L^2) gamma^(-M))`` for one configuration.
 
-    The budget ``c1 / L`` is split into ``C1 = _SPLIT * c1/L`` and
-    ``C2 = (1 - _SPLIT) * c1/L``; ``delta1`` covers channel cross terms
-    (scaled by the squared pilot sup-norm and the number of active pairs),
-    ``delta2`` covers noise cross terms.
+    Active channels have unit power. ``sigma_w2`` is the white-noise
+    variance, ``S_infnorm`` the largest pilot-entry magnitude and
+    ``sigma_min2`` the smallest active-channel variance; ``D`` may not exceed
+    ``max_identifiable_support(mu)``, and ``L >= 2`` when ``D >= 2``. The
+    budget ``c1 / L`` is split into ``C1 = _SPLIT * c1/L`` for the channel
+    cross terms (scaled by the squared pilot sup-norm and the number of
+    active pairs) and ``C2 = (1 - _SPLIT) * c1/L`` for the noise cross terms,
+    giving the exponents ``delta1`` and ``delta2``. The rate is ``gamma =
+    0.99 * min(beta_min, exp(delta1), exp(delta2))``, the 0.99 keeping the
+    strict inequality. If the hypotheses fail (``c2 >= sigma_min2``,
+    nonpositive ``c1``, or ``gamma <= 1``) the floor is vacuous: 0.0.
     """
-    if inputs.D < 2 or inputs.L < 2:
-        raise ConditionViolatedError(
-            f"delta exponents need D >= 2 and L >= 2, got D={inputs.D}, L={inputs.L}"
-        )
-    c1, _ = lasso_constants(inputs.lam, inputs.mu, inputs.D)
-    if c1 <= 0:
-        raise InvalidParameterError(f"c1 must be positive, got {c1}")
-    target = c1 / inputs.L
-    C1 = _SPLIT * target
-    C2 = (1.0 - _SPLIT) * target
-    t1 = C1 * inputs.M / (inputs.S_infnorm**2 * inputs.D * (inputs.D - 1))
-    t2 = C2 * inputs.M / (inputs.L * (inputs.L - 1))
-    delta1 = t1 * t1 / (2.0 * (2.0 + t1))  # unit-power channels
-    delta2 = t2 * t2 / (2.0 * inputs.sigma_w2 * (2.0 * inputs.sigma_w2 + t2))
-    return delta1, delta2
-
-
-def recovery_bound(M: int, D: int, L: int, gamma: float) -> float:
-    """Success-probability floor ``max(0, 1 - (D + 4 L^2) gamma^(-M))``."""
-    if M < 1 or D < 0 or L < 1:
-        raise InvalidParameterError(f"bad dimensions M={M}, D={D}, L={L}")
-    if gamma <= 1.0:
-        raise ConditionViolatedError(f"gamma must exceed 1, got {gamma}")
-    return max(0.0, 1.0 - (D + 4.0 * L * L) * gamma ** (-M))
-
-
-def evaluate_recovery_bound(inputs: BoundInputs) -> float:
-    """End-to-end bound evaluation for one configuration.
-
-    The rate is ``gamma = 0.99 * min(beta_min, exp(delta1), exp(delta2))``,
-    the 0.99 keeping the strict inequality. If the hypotheses fail
-    (``c2 >= sigma_min2``, nonpositive ``c1``, or ``gamma <= 1``) the bound
-    is vacuous and 0.0 is returned.
-    """
-    c1, c2 = lasso_constants(inputs.lam, inputs.mu, inputs.D)
-    if c1 <= 0 or c2 <= 0 or c2 >= inputs.sigma_min2:
+    positives = (("lam", lam), ("mu", mu), ("sigma_w2", sigma_w2),
+                 ("S_infnorm", S_infnorm), ("sigma_min2", sigma_min2))
+    for name, value in positives:
+        if value <= 0 or not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be positive, got {value}")
+    for name, value in (("D", D), ("L", L), ("M", M)):
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+    if D > max_identifiable_support(mu):
+        raise ConditionViolatedError(f"sparsity D={D} violates D < (1 + 1/mu^2)/2 for mu={mu}")
+    if D >= 2 and L < 2:
+        raise ConditionViolatedError(f"the cross terms of D={D} nodes need L >= 2, got L={L}")
+    c1, c2 = lasso_constants(lam, mu, D)
+    if c1 <= 0 or c2 >= sigma_min2:  # c2 >= 2 c1 here, so c2 > 0
         return 0.0
-    rate = chernoff_power_rate(c2, inputs.sigma_min2)
-    if inputs.D >= 2:  # a single active node has no channel cross terms
-        for delta in deltas(inputs):
+    rate = chernoff_power_rate(c2, sigma_min2)
+    if D >= 2:  # a single active node has no channel cross terms
+        target = c1 / L
+        C1 = _SPLIT * target
+        C2 = (1.0 - _SPLIT) * target
+        t1 = C1 * M / (S_infnorm**2 * D * (D - 1))
+        t2 = C2 * M / (L * (L - 1))
+        delta1 = t1 * t1 / (2.0 * (2.0 + t1))  # unit-power channels
+        delta2 = t2 * t2 / (2.0 * sigma_w2 * (2.0 * sigma_w2 + t2))
+        for delta in (delta1, delta2):
             try:
                 rate = min(rate, math.exp(delta))
             except OverflowError:  # exp(delta) is beyond the float range, so above beta
@@ -168,7 +120,7 @@ def evaluate_recovery_bound(inputs: BoundInputs) -> float:
     gamma = 0.99 * rate
     if gamma <= 1.0:
         return 0.0
-    return recovery_bound(inputs.M, inputs.D, inputs.L, gamma)
+    return max(0.0, 1.0 - (D + 4.0 * L * L) * gamma ** (-M))
 
 
 def empirical_power_floor_check(

@@ -226,6 +226,22 @@ def test_floats_round_trip(key, x):
     assert getattr(config, KEYS[key][0]) == x
 
 
+NUMBER_LIKE = st.one_of(
+    st.from_regex(r"-?(inf|[0-9]{1,4}(\.[0-9]{1,3})?(e[-+]?[0-9]{1,3})?)", fullmatch=True),
+    st.text("0123456789-+.e_ infINFa", max_size=12),
+)
+
+
+@given(key=st.sampled_from(INT_KEYS + FLOAT_KEYS), text=NUMBER_LIKE)
+def test_a_number_parses_only_as_str_or_repr_writes_it(key, text):
+    # so 064, -0, 0.50, 1e3 and 1e999 are errors, not second spellings of 64, 0, 0.5, 1000.0 and inf
+    try:
+        value = getattr(apply_settings(ExperimentConfig(), {key: text}), KEYS[key][0])
+    except ConfigError:
+        return
+    assert text == str(value) or text == repr(value) or text == str(int(value))
+
+
 PADS = st.sampled_from(["", " ", "\t"])
 
 

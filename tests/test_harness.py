@@ -690,6 +690,12 @@ class TestCli:
         ["--detector", "msbl, bomp"],
         ["--detector", "msbl,msbl"],
         ["--detector", "cov-lasso,all"],
+        ["--K", "064"],
+        ["--seed", "-0"],
+        ["--lam", "0.50"],
+        ["--lam", "1e3"],
+        ["--snr", "1e999"],
+        ["--sweep", "snr:00,1e400"],
     ])
     def test_bad_value_exits_2_before_any_trial(self, flags, capsys):
         # the flags under test come last, so a repeated flag such as --trials is the one under test

@@ -106,8 +106,12 @@ class TestSupportLimit:
         assert max_identifiable_support(0.18687) == 14
 
     def test_non_increasing_in_mu(self):
-        values = [max_identifiable_support(mu) for mu in np.linspace(0.05, 1.0, 60)]
+        # below mu ~ 7.5e-155 the limit overflows a float and is counted exactly
+        mus = [5e-324, 1e-170, 1e-160, *np.linspace(0.05, 1.0, 60)]
+        values = [max_identifiable_support(mu) for mu in mus]
+        assert all(type(v) is int for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
+        assert values[0] == 2**2147  # mu = 2^-1074: the largest integer below (1 + 2^2148) / 2
 
     def test_rejects_zero(self):
         with pytest.raises(InvalidParameterError):

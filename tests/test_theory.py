@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from gfdetect.errors import ConditionViolatedError, InvalidParameterError
 from gfdetect.model import derive_rng
 from gfdetect.theory import (
-    BoundInputs,
-    deltas,
     evaluate_recovery_bound,
     lasso_constants,
     chernoff_power_rate,
     empirical_power_floor_check,
-    recovery_bound,
 )
 
 
@@ -104,52 +101,113 @@ def make_inputs(**overrides):
         sigma_min2=1.0,
     )
     base.update(overrides)
-    return BoundInputs(**base)
+    return base
+
+
+def worked_floor(lam, mu, D, L, M, sigma_w2, S_infnorm, sigma_min2):
+    """``(delta1, delta2, gamma, 1 - (D + 4 L^2) gamma^-M)`` worked out term by term for ``D >= 2``."""
+    c1, c2 = lasso_constants(lam, mu, D)
+    beta = chernoff_power_rate(c2, sigma_min2)
+    budget = c1 / L / 2  # half of c1/L for each kind of cross term
+    t1 = budget * M / (S_infnorm**2 * D * (D - 1))
+    t2 = budget * M / (L * (L - 1))
+    delta1 = t1**2 / (2 * (2 + t1))
+    delta2 = t2**2 / (2 * sigma_w2 * (2 * sigma_w2 + t2))
+    gamma = 0.99 * min(beta, math.exp(delta1), math.exp(delta2))
+    return delta1, delta2, gamma, 1 - (D + 4 * L**2) * gamma**-M
 
 
 class TestDeltas:
+    """The cross-term exponents that ``evaluate_recovery_bound`` forms when ``D >= 2``."""
+
     def test_positive(self):
-        delta1, delta2 = deltas(make_inputs())
-        assert delta1 > 0 and delta2 > 0
+        # delta2 binds at the first point, delta1 at the second
+        for overrides in (dict(sigma_w2=0.3, M=512), dict(S_infnorm=2.0, M=320)):
+            inputs = make_inputs(**overrides)
+            delta1, delta2, gamma, floor = worked_floor(**inputs)
+            assert delta1 > 0 and delta2 > 0 and gamma > 1
+            assert evaluate_recovery_bound(**inputs) == pytest.approx(floor, rel=1e-12)
 
     def test_requires_pairs(self):
         with pytest.raises(ConditionViolatedError):
-            deltas(make_inputs(D=1, mu=0.4))
+            evaluate_recovery_bound(**make_inputs(D=2, L=1))
+        assert evaluate_recovery_bound(**make_inputs(D=1, L=1)) > 0.0  # no cross terms
 
 
 class TestRecoveryBound:
+    """The floor ``max(0, 1 - (D + 4 L^2) gamma^(-M))`` as ``evaluate_recovery_bound`` returns it."""
+
     def test_reference_value(self):
-        assert recovery_bound(128, 10, 20, 1.1) == pytest.approx(0.9919, abs=1e-4)
+        inputs = make_inputs(sigma_w2=0.3, M=512)
+        delta1, delta2, gamma, floor = worked_floor(**inputs)
+        # c1 = 0.3 * 0.52 / 0.84, c2 = 0.3 * 1.36 / 0.84^2, beta = sqrt(exp(c2 - 1) / c2)
+        assert (delta1, delta2) == pytest.approx((5.08689, 0.0265817), rel=1e-5)
+        assert gamma == pytest.approx(0.99 * math.exp(delta2), rel=1e-15)
+        assert floor == pytest.approx(0.945585, abs=1e-6)
+        assert evaluate_recovery_bound(**inputs) == pytest.approx(floor, rel=1e-12)
 
     def test_large_antenna_limit(self):
-        assert recovery_bound(100_000, 10, 20, 1.01) == pytest.approx(1.0, abs=1e-9)
+        assert evaluate_recovery_bound(**make_inputs(M=100_000)) == pytest.approx(1.0, abs=1e-9)
 
     def test_vacuous_clamped_to_zero(self):
-        assert recovery_bound(2, 10, 20, 1.05) == 0.0
+        inputs = make_inputs(M=16)
+        _, _, gamma, floor = worked_floor(**inputs)
+        assert gamma > 1.0 and floor < 0.0
+        assert evaluate_recovery_bound(**inputs) == 0.0
 
     def test_monotone_in_antennas_and_gamma(self):
-        bounds_m = [recovery_bound(M, 10, 20, 1.05) for M in (64, 128, 256, 512)]
+        bounds_m = [evaluate_recovery_bound(**make_inputs(sigma_w2=0.3, M=M))
+                    for M in (256, 512, 1024, 2048)]
         assert all(a <= b for a, b in zip(bounds_m, bounds_m[1:]))
-        bounds_g = [recovery_bound(256, 10, 20, g) for g in (1.02, 1.05, 1.1, 1.3)]
+        # less noise raises gamma through delta2
+        noises = (0.5, 0.4, 0.3, 0.2)
+        gammas = [worked_floor(**make_inputs(sigma_w2=s, M=512))[2] for s in noises]
+        assert all(a < b for a, b in zip(gammas, gammas[1:]))
+        bounds_g = [evaluate_recovery_bound(**make_inputs(sigma_w2=s, M=512)) for s in noises]
         assert all(a <= b for a, b in zip(bounds_g, bounds_g[1:]))
+        assert bounds_g[0] == 0.0 < bounds_g[-1]
 
     def test_gamma_guard(self):
-        with pytest.raises(ConditionViolatedError):
-            recovery_bound(128, 10, 20, 1.0)
+        inputs = make_inputs(sigma_w2=100.0)
+        assert worked_floor(**inputs)[2] <= 1.0
+        assert evaluate_recovery_bound(**inputs) == 0.0
 
 
 class TestEvaluateRecoveryBound:
     def test_usable_configuration(self):
-        assert 0.5 < evaluate_recovery_bound(make_inputs()) <= 1.0
+        assert 0.5 < evaluate_recovery_bound(**make_inputs()) <= 1.0
 
     def test_vacuous_when_power_floor_unreachable(self):
-        assert evaluate_recovery_bound(make_inputs(lam=2.0)) == 0.0  # c2 > sigma_min2
+        assert evaluate_recovery_bound(**make_inputs(lam=2.0)) == 0.0  # c2 > sigma_min2
 
     def test_single_active_node_skips_cross_terms(self):
         inputs = make_inputs(D=1, mu=0.4)
-        _, c2 = lasso_constants(inputs.lam, inputs.mu, inputs.D)
-        gamma = 0.99 * chernoff_power_rate(c2, inputs.sigma_min2)
-        assert evaluate_recovery_bound(inputs) == recovery_bound(inputs.M, 1, inputs.L, gamma)
+        _, c2 = lasso_constants(inputs["lam"], inputs["mu"], 1)
+        gamma = 0.99 * chernoff_power_rate(c2, inputs["sigma_min2"])
+        floor = max(0.0, 1.0 - (1 + 4.0 * inputs["L"] ** 2) * gamma ** (-inputs["M"]))
+        assert evaluate_recovery_bound(**inputs) == floor
+
+    def test_arguments_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            evaluate_recovery_bound(*make_inputs().values())
+
+    def test_rejects_oversparse(self):
+        with pytest.raises(ConditionViolatedError):
+            evaluate_recovery_bound(**make_inputs(D=10, mu=0.9))
+
+    def test_rejects_nonpositive(self):
+        for name in ("lam", "mu", "sigma_w2", "S_infnorm", "sigma_min2"):
+            for value in (-1.0, 0.0, math.inf, math.nan):
+                with pytest.raises(InvalidParameterError, match=name):
+                    evaluate_recovery_bound(**make_inputs(**{name: value}))
+        for name in ("D", "L", "M"):
+            with pytest.raises(InvalidParameterError, match=name):
+                evaluate_recovery_bound(**make_inputs(**{name: 0}))
+
+    def test_tiny_coherence_admits_any_sparsity(self):
+        # (1 + 1/mu^2) / 2 overflows a float here; the floor is still defined
+        for mu in (1e-160, 1e-170, 5e-324):
+            assert 0.0 <= evaluate_recovery_bound(**make_inputs(mu=mu, D=12)) <= 1.0
 
     @given(lam=st.floats(0.01, 2.0), mu=st.floats(0.05, 0.7), D=st.integers(1, 12),
            L=st.integers(2, 24), M=st.integers(1, 4096), extra=st.integers(1, 4096),
@@ -161,8 +219,8 @@ class TestEvaluateRecoveryBound:
         D = min(D, math.ceil(0.5 * (1.0 + 1.0 / mu**2)) - 1)  # coherence hypothesis
         common = dict(lam=lam, mu=mu, D=D, L=L, sigma_w2=sigma_w2, S_infnorm=S_infnorm,
                       sigma_min2=sigma_min2)
-        fewer = evaluate_recovery_bound(make_inputs(M=M, **common))
-        more = evaluate_recovery_bound(make_inputs(M=M + extra, **common))
+        fewer = evaluate_recovery_bound(**make_inputs(M=M, **common))
+        more = evaluate_recovery_bound(**make_inputs(M=M + extra, **common))
         assert 0.0 <= fewer <= more <= 1.0
 
 
@@ -180,13 +238,3 @@ class TestEmpiricalPowerFloor:
         rng = derive_rng(4, 41)
         bounds = [empirical_power_floor_check(0.5, 1.0, M, 100, rng)[1] for M in (16, 32, 64, 128)]
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
-
-
-class TestBoundInputsValidation:
-    def test_rejects_oversparse(self):
-        with pytest.raises(ConditionViolatedError):
-            make_inputs(D=10, mu=0.9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            make_inputs(lam=-1.0)
